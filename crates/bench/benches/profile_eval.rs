@@ -25,14 +25,8 @@
 //! routes chain every pair into one component, which is why the sparse
 //! regime needs a topology with isolated regions.)
 //!
-//! The `dual_solver_paper20` and `warm_vs_cold_paper20` groups measure
-//! the PR-2 solver rework directly: raw cold vs warm-started
-//! `solve_relaxed` on the joint paper-scale instance, and the evaluator
-//! walk with `RelaxedOptions::warm_start` on/off. The
-//! `accel_vs_subgradient` group (PR 3) pits the two `DualMethod`s
-//! against each other on the same joint instance: the accelerated rows
-//! stop early on a certified 1e-4 gap where the subgradient rows burn
-//! the full 600-iteration budget.
+//! The `dual_solver_paper20` group measures the raw `solve_relaxed` cost
+//! on the joint paper-scale instance.
 //!
 //! The `dynamic_vs_static_partition` group (PR 4) measures the
 //! profile-local dynamic partition against the static candidate-union
@@ -241,22 +235,14 @@ fn full_rebuild_gibbs(
     Some(best)
 }
 
-/// Raw dual-solver benches on the paper-scale joint instance (the one
-/// big coupling component 10 random pairs form on the 20-node Waxman
-/// graph):
-///
-/// * `cold_solve` — `solve_relaxed` from λ = 0 on the prebuilt instance:
-///   the pure solver cost of a fresh joint solve, no assembly, no
-///   rounding;
-/// * `warm_solve_neighbor` — `solve_relaxed_warm` seeded with the final
-///   λ of a *neighboring* profile (one pair moved to another route),
-///   mapped across instances by constraint identity: the warm-start
-///   regime the profile evaluator's per-component λ store produces;
-/// * `warm_solve_self` — seeded with the instance's own final λ: the
-///   best-case floor (restart on an already-solved tuple).
+/// Raw dual-solver bench on the paper-scale joint instance (the one big
+/// coupling component 10 random pairs form on the 20-node Waxman graph):
+/// `cold_solve` is `solve_relaxed` from λ = 0 on the prebuilt instance —
+/// the pure solver cost of a fresh joint solve, no assembly, no
+/// rounding.
 fn bench_dual_solver(c: &mut Criterion) {
     use qdn_core::route_selection::profile_of;
-    use qdn_solve::relaxed::{solve_relaxed, solve_relaxed_warm, RelaxedOptions};
+    use qdn_solve::relaxed::{solve_relaxed, RelaxedOptions};
 
     let mut rng = StdRng::seed_from_u64(3);
     let net = NetworkConfig::paper_default().build(&mut rng).unwrap();
@@ -266,119 +252,14 @@ fn bench_dual_solver(c: &mut Criterion) {
     let owned = make_candidates(&net, 10, &mut pairs_rng);
     let cands = to_cands(&owned);
     let opts = RelaxedOptions::default();
-
     let base: Vec<usize> = vec![0; cands.len()];
-    let mut moved = base.clone();
-    moved[0] = 1.min(cands[0].routes.len() - 1);
     let inst_base = ctx.build_instance(&profile_of(&cands, &base)).unwrap();
-    let inst_moved = ctx.build_instance(&profile_of(&cands, &moved)).unwrap();
-
-    // Seed the base solve with the moved instance's λ, mapped by
-    // constraint position. Both instances lay constraints out in
-    // first-touch order, so the shared prefix (identical until the moved
-    // pair's first touched node) lines up; the tail is approximate —
-    // which is the point: a *plausible neighbor* seed, not an exact one.
-    // (The evaluator proper maps by node/edge identity instead.)
-    let sol_moved = solve_relaxed(&inst_moved, &opts).unwrap();
-    let mut neighbor_seed = vec![0.0; inst_base.num_constraints()];
-    for (dst, &src) in neighbor_seed.iter_mut().zip(sol_moved.lambda.iter()).take(
-        inst_base
-            .num_constraints()
-            .min(inst_moved.num_constraints()),
-    ) {
-        *dst = src;
-    }
-    let sol_base = solve_relaxed(&inst_base, &opts).unwrap();
-    let self_seed = sol_base.lambda.clone();
 
     let mut group = c.benchmark_group("dual_solver_paper20");
     group.sample_size(15);
     group.bench_function("cold_solve/10_pairs", |b| {
         b.iter(|| black_box(solve_relaxed(&inst_base, &opts).unwrap()));
     });
-    group.bench_function("warm_solve_neighbor/10_pairs", |b| {
-        b.iter(|| black_box(solve_relaxed_warm(&inst_base, &opts, Some(&neighbor_seed)).unwrap()));
-    });
-    group.bench_function("warm_solve_self/10_pairs", |b| {
-        b.iter(|| black_box(solve_relaxed_warm(&inst_base, &opts, Some(&self_seed)).unwrap()));
-    });
-    group.finish();
-}
-
-/// The two dual methods head to head on the paper-scale joint instance
-/// (cold solves, same instance as `dual_solver_paper20`): the
-/// `accelerated` row certifies the strict 1e-4 gap and stops early, the
-/// `subgradient` row exhausts its 600-iteration budget at ~1e-2 — the
-/// ROADMAP item (h) comparison, gated by `scripts/bench-gate.sh`.
-fn bench_accel_vs_subgradient(c: &mut Criterion) {
-    use qdn_core::route_selection::profile_of;
-    use qdn_solve::relaxed::{solve_relaxed, DualMethod, RelaxedOptions};
-
-    let mut rng = StdRng::seed_from_u64(3);
-    let net = NetworkConfig::paper_default().build(&mut rng).unwrap();
-    let snap = CapacitySnapshot::full(&net);
-    let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 10.0);
-    let mut pairs_rng = StdRng::seed_from_u64(11);
-    let owned = make_candidates(&net, 10, &mut pairs_rng);
-    let cands = to_cands(&owned);
-    let base: Vec<usize> = vec![0; cands.len()];
-    let inst = ctx.build_instance(&profile_of(&cands, &base)).unwrap();
-
-    let mut group = c.benchmark_group("accel_vs_subgradient");
-    group.sample_size(15);
-    for (label, method) in [
-        ("subgradient", DualMethod::Subgradient),
-        ("accelerated", DualMethod::Accelerated),
-    ] {
-        let opts = RelaxedOptions {
-            method,
-            ..RelaxedOptions::default()
-        };
-        group.bench_function(format!("cold_solve_{label}/10_pairs"), |b| {
-            b.iter(|| black_box(solve_relaxed(&inst, &opts).unwrap()));
-        });
-    }
-    group.finish();
-}
-
-/// Warm-vs-cold through the evaluator: a fresh evaluator evaluates the
-/// base profile (cold joint solve) and then a single-pair move (fresh
-/// tuple for the moved component). With `warm_start` the second solve is
-/// seeded from the first one's λ; the cold row is the same walk with the
-/// flag off, so the row difference isolates the warm-start benefit on
-/// the realistic "Gibbs proposes a neighbor" pattern.
-fn bench_warm_vs_cold_eval(c: &mut Criterion) {
-    use qdn_solve::relaxed::RelaxedOptions;
-
-    let mut rng = StdRng::seed_from_u64(3);
-    let net = NetworkConfig::paper_default().build(&mut rng).unwrap();
-    let snap = CapacitySnapshot::full(&net);
-    let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, 10.0);
-    let mut pairs_rng = StdRng::seed_from_u64(11);
-    let owned = make_candidates(&net, 10, &mut pairs_rng);
-    let cands = to_cands(&owned);
-
-    let base: Vec<usize> = vec![0; cands.len()];
-    let mut moved = base.clone();
-    moved[0] = 1.min(cands[0].routes.len() - 1);
-
-    let cold_method = AllocationMethod::default();
-    let warm_method = AllocationMethod::RelaxAndRound(RelaxedOptions {
-        warm_start: true,
-        ..RelaxedOptions::default()
-    });
-
-    let mut group = c.benchmark_group("warm_vs_cold_paper20");
-    group.sample_size(15);
-    for (label, method) in [("cold", &cold_method), ("warm", &warm_method)] {
-        group.bench_function(format!("{label}_move_pair/10_pairs"), |b| {
-            b.iter(|| {
-                let mut eval = ProfileEvaluator::new(&ctx, &cands, method, EvalOptions::default());
-                black_box(eval.evaluate_objective(&base));
-                black_box(eval.evaluate_objective(&moved))
-            });
-        });
-    }
     group.finish();
 }
 
@@ -511,48 +392,40 @@ fn bench_dynamic_vs_static(c: &mut Criterion) {
 /// Algorithm-2 allocation — end to end, under two selection-state
 /// regimes:
 ///
-/// * `oscar200_cold/*` — a fresh `SelectorSession` every slot: today's
-///   (pre-session) path, where each slot rebuilds the evaluator arena
-///   and memos and every component solve starts from λ = 0;
-/// * `oscar200_session/*` — one session spans the run with the full
-///   cross-slot machinery on (`warm_profile_seed` + dual `warm_start`):
-///   chains start from the previous slot's selection, and every
-///   sub-instance solve seeds from the session λ stores (exact-tuple
-///   memo first, dense constraint-identity store otherwise).
+/// * `oscar200_cold/*` — a fresh `SelectorSession` every slot: each slot
+///   rebuilds the evaluator arena and memos;
+/// * `oscar200_session/*` — one session spans the run with cross-slot
+///   profile seeding on (`warm_profile_seed`): chains start from the
+///   previous slot's selection with the smaller warm iteration budget,
+///   and region memos carry over while their fingerprints hold.
 ///
 /// Each regime runs on the paper's `U[1,5]` uniform workload and on the
 /// temporally-correlated `PersistentWorkload` (5 sticky pairs, 80%
 /// per-slot survival) — the scenario cross-slot seeding targets:
-/// consecutive slots share most pairs, so the chain revisits the same
-/// component tuples slot after slot and the exact-tuple λ memo turns
-/// their accelerated solves into one-or-two-iteration restarts. Both
-/// regimes face identical request sample paths (same env seed).
+/// consecutive slots share most pairs, so seeded chains start near last
+/// slot's optimum. Both regimes face identical request sample paths
+/// (same env seed).
 fn bench_session_vs_fresh(c: &mut Criterion) {
     use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
     use qdn_core::lyapunov::VirtualQueue;
     use qdn_net::workload::{PersistentWorkload, UniformWorkload, Workload};
-    use qdn_solve::RelaxedOptions;
 
     let mut rng = StdRng::seed_from_u64(3);
     let net = NetworkConfig::paper_default().build(&mut rng).unwrap();
 
     let cold_selector = GibbsConfig::paper_default();
-    let cold_alloc = AllocationMethod::default();
     let session_selector = GibbsConfig {
         evaluator: EvalOptions::warm_seeded(),
         ..GibbsConfig::paper_default()
     };
-    let session_alloc = AllocationMethod::RelaxAndRound(RelaxedOptions {
-        warm_start: true,
-        ..RelaxedOptions::default()
-    });
+    let alloc = AllocationMethod::default();
 
     let mut group = c.benchmark_group("session_vs_fresh");
     group.sample_size(10);
     for (wl_label, persistent) in [("uniform", false), ("persistent", true)] {
-        for (mode, gibbs_cfg, alloc, keep_session) in [
-            ("cold", &cold_selector, &cold_alloc, false),
-            ("session", &session_selector, &session_alloc, true),
+        for (mode, gibbs_cfg, keep_session) in [
+            ("cold", &cold_selector, false),
+            ("session", &session_selector, true),
         ] {
             let selector = qdn_core::route_selection::RouteSelector::Gibbs(*gibbs_cfg);
             group.bench_function(format!("oscar200_{mode}/{wl_label}"), |b| {
@@ -584,7 +457,7 @@ fn bench_session_vs_fresh(c: &mut Criterion) {
                                 requests: &requests,
                                 ctx: &ctx,
                                 selector: &selector,
-                                allocation: alloc,
+                                allocation: &alloc,
                                 fidelity_target: None,
                                 rng: &mut policy_rng,
                             },
@@ -712,10 +585,11 @@ fn corridor_field(count: usize) -> (QdnNetwork, Vec<SdPair>) {
 ///   region, so every corridor re-solves its whole route space each
 ///   slot.
 ///
-/// Both rows use the subgradient dual method: its fixed iteration
-/// budget gives every memo miss the same non-trivial price, so the row
-/// difference is a clean count of the re-solves each invalidation
-/// policy triggers rather than an artifact of adaptive early stopping.
+/// Both rows solve with `gap_tolerance: 0.0` and a 3000-iteration
+/// budget: an unreachable gap makes every memo miss run the full budget
+/// at the same non-trivial price, so the row difference is a clean
+/// count of the re-solves each invalidation policy triggers rather than
+/// an artifact of adaptive early stopping.
 /// Decisions are bit-identical between the rows (the
 /// `churn_matches_cold_rebuild` proptest pins session-vs-cold, and
 /// global flush only discards *more*) — the row ratio is pure post-cut
@@ -723,7 +597,7 @@ fn corridor_field(count: usize) -> (QdnNetwork, Vec<SdPair>) {
 fn bench_churn_recovery(c: &mut Criterion) {
     use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
     use qdn_core::route_selection::RouteSelector;
-    use qdn_solve::relaxed::{DualMethod, RelaxedOptions};
+    use qdn_solve::relaxed::RelaxedOptions;
 
     let (net, pairs) = corridor_field(16);
     // A short Gibbs budget: the per-iteration memo-hit evaluations are
@@ -734,14 +608,13 @@ fn bench_churn_recovery(c: &mut Criterion) {
         iterations: 8,
         ..GibbsConfig::paper_default()
     });
-    // Subgradient with a deep iteration budget prices every memo miss
-    // at a constant, non-trivial cost, so the row difference is a clean
-    // count of the re-solves each invalidation policy triggers (the
-    // per-slot Gibbs/bookkeeping cost is identical in both rows).
+    // An unreachable gap with a deep iteration budget prices every memo
+    // miss at a constant, non-trivial cost, so the row difference is a
+    // clean count of the re-solves each invalidation policy triggers
+    // (the per-slot Gibbs/bookkeeping cost is identical in both rows).
     let method = AllocationMethod::RelaxAndRound(RelaxedOptions {
-        method: DualMethod::Subgradient,
+        gap_tolerance: 0.0,
         max_iterations: 3000,
-        ..RelaxedOptions::default()
     });
     let installed_q: Vec<u32> = net
         .graph()
@@ -820,7 +693,7 @@ fn bench_node_churn_recovery(c: &mut Criterion) {
     use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
     use qdn_core::route_selection::RouteSelector;
     use qdn_graph::NodeId;
-    use qdn_solve::relaxed::{DualMethod, RelaxedOptions};
+    use qdn_solve::relaxed::RelaxedOptions;
 
     let (net, pairs) = corridor_field(16);
     let selector = RouteSelector::Gibbs(GibbsConfig {
@@ -828,9 +701,8 @@ fn bench_node_churn_recovery(c: &mut Criterion) {
         ..GibbsConfig::paper_default()
     });
     let method = AllocationMethod::RelaxAndRound(RelaxedOptions {
-        method: DualMethod::Subgradient,
+        gap_tolerance: 0.0,
         max_iterations: 3000,
-        ..RelaxedOptions::default()
     });
     let installed_q: Vec<u32> = net
         .graph()
@@ -901,7 +773,7 @@ fn bench_node_churn_recovery(c: &mut Criterion) {
 fn bench_regional_outage_recovery(c: &mut Criterion) {
     use qdn_core::engine::{decide, EngineState, SlotDecisionRequest};
     use qdn_core::route_selection::RouteSelector;
-    use qdn_solve::relaxed::{DualMethod, RelaxedOptions};
+    use qdn_solve::relaxed::RelaxedOptions;
 
     let (net, pairs) = corridor_field(16);
     let selector = RouteSelector::Gibbs(GibbsConfig {
@@ -909,9 +781,8 @@ fn bench_regional_outage_recovery(c: &mut Criterion) {
         ..GibbsConfig::paper_default()
     });
     let method = AllocationMethod::RelaxAndRound(RelaxedOptions {
-        method: DualMethod::Subgradient,
+        gap_tolerance: 0.0,
         max_iterations: 3000,
-        ..RelaxedOptions::default()
     });
     let installed_q: Vec<u32> = net
         .graph()
@@ -1200,8 +1071,6 @@ fn bench(c: &mut Criterion) {
     bench_node_churn_recovery(c);
     bench_regional_outage_recovery(c);
     bench_dual_solver(c);
-    bench_accel_vs_subgradient(c);
-    bench_warm_vs_cold_eval(c);
 
     bench_gibbs_end_to_end(c);
 

@@ -363,6 +363,10 @@ impl ThreadPool {
             }
             let task = take_task(&mut lock(&self.inner.sched), my_index, &self.inner);
             if let Some(task) = task {
+                // Counted at dequeue: the task signals its scope when it
+                // finishes, so a count taken after `task()` could land
+                // after the scope owner has already read the stats.
+                self.inner.executed.fetch_add(1, Ordering::Relaxed);
                 if my_index.is_some() {
                     task();
                 } else {
@@ -373,7 +377,6 @@ impl ThreadPool {
                     // to the global pool.
                     self.install(task);
                 }
-                self.inner.executed.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             let pending = lock(&state.pending);
@@ -494,8 +497,10 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
             }
         };
         let Some(task) = task else { break };
-        task();
+        // Counted at dequeue, before the task can signal its scope (see
+        // `help_until_done`).
         inner.executed.fetch_add(1, Ordering::Relaxed);
+        task();
     }
     inner.exited.fetch_add(1, Ordering::Relaxed);
 }

@@ -6,12 +6,13 @@
 //! virtual-queue price `q_t`; then update the queue with the realized
 //! cost (Eq. 7). No future statistics are used anywhere.
 
+use qdn_graph::EdgeId;
 use qdn_net::routes::RouteLimits;
-use qdn_net::QdnNetwork;
+use qdn_net::{CapacitySnapshot, QdnNetwork, SdPair};
 use serde::{Deserialize, Serialize};
 
 use crate::allocation::AllocationMethod;
-use crate::engine::{self, EngineState, SlotDecisionRequest};
+use crate::engine::{self, EngineSnapshot, EngineState, SlotDecisionRequest};
 use crate::lyapunov::VirtualQueue;
 use crate::policy::{PolicyDiagnostics, RoutingPolicy};
 use crate::problem::PerSlotContext;
@@ -134,26 +135,35 @@ impl OscarPolicy {
     pub fn engine_state(&self) -> &EngineState {
         &self.state
     }
-}
 
-impl RoutingPolicy for OscarPolicy {
-    fn name(&self) -> String {
-        "OSCAR".into()
+    /// The virtual cost-deficit queue.
+    pub fn queue(&self) -> VirtualQueue {
+        self.queue
     }
 
-    fn decide(
+    /// Qubit-channels spent since construction or the last reset.
+    pub fn spent(&self) -> u64 {
+        self.spent
+    }
+
+    /// One OSCAR slot step (Algorithm 1): price the slot with the
+    /// current queue value `q_t`, select routes and allocate qubits for
+    /// `requests` under `snapshot`, then charge the realized cost to the
+    /// queue (Eq. 7). [`RoutingPolicy::decide`] and the serve daemon's
+    /// shards both decide through this method.
+    pub fn step(
         &mut self,
         network: &QdnNetwork,
-        slot: &SlotState,
+        snapshot: &CapacitySnapshot,
+        requests: &[SdPair],
         rng: &mut dyn rand::Rng,
     ) -> Decision {
-        let ctx =
-            PerSlotContext::oscar(network, slot.snapshot(), self.config.v, self.queue.value());
+        let ctx = PerSlotContext::oscar(network, snapshot, self.config.v, self.queue.value());
         let decision = engine::decide(
             &mut self.state,
             SlotDecisionRequest {
                 network,
-                requests: slot.requests(),
+                requests,
                 ctx: &ctx,
                 selector: &self.config.selector,
                 allocation: &self.config.allocation,
@@ -167,11 +177,53 @@ impl RoutingPolicy for OscarPolicy {
         decision
     }
 
+    /// Replaces the warm state with a restored one: the engine from its
+    /// snapshot, plus the queue and spend it was taken with. On error
+    /// the policy is unchanged.
+    pub fn restore(
+        &mut self,
+        engine: &EngineSnapshot,
+        queue: VirtualQueue,
+        spent: u64,
+    ) -> Result<(), String> {
+        self.state = EngineState::restore(engine)?;
+        self.queue = queue;
+        self.spent = spent;
+        Ok(())
+    }
+
+    /// Precomputes candidate repair for an announced outage of `edges`;
+    /// see [`EngineState::prewarm_dead_edges`].
+    pub fn prewarm_dead_edges(&mut self, network: &QdnNetwork, edges: &[EdgeId]) -> usize {
+        self.state.prewarm_dead_edges(network, edges)
+    }
+}
+
+impl RoutingPolicy for OscarPolicy {
+    fn name(&self) -> String {
+        "OSCAR".into()
+    }
+
+    fn decide(
+        &mut self,
+        network: &QdnNetwork,
+        slot: &SlotState,
+        rng: &mut dyn rand::Rng,
+    ) -> Decision {
+        self.step(network, slot.snapshot(), slot.requests(), rng)
+    }
+
     fn reset(&mut self) {
-        self.queue.reset();
+        // From the configuration, not `VirtualQueue::reset`: a restored
+        // queue must not carry its own start value into the reset.
+        self.queue = VirtualQueue::new(
+            self.config.q0,
+            self.config.total_budget,
+            self.config.horizon,
+        );
         self.spent = 0;
-        // Cross-slot decision state (λ stores, memo epochs, previous
-        // profile, candidate cache) must not leak between trials; see
+        // Cross-slot decision state (memo epochs, previous profile,
+        // candidate cache) must not leak between trials; see
         // [`EngineState::reset`] for why the route cache is dropped too.
         self.state.reset();
     }
@@ -301,15 +353,11 @@ mod tests {
         use crate::route_selection::GibbsConfig;
 
         // A config where cross-slot state actually accumulates: profile
-        // seeding on, dual warm starts on.
+        // seeding on.
         let cfg = OscarConfig {
             selector: RouteSelector::Gibbs(GibbsConfig {
                 evaluator: EvalOptions::warm_seeded(),
                 ..GibbsConfig::paper_default()
-            }),
-            allocation: AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-                warm_start: true,
-                ..qdn_solve::RelaxedOptions::default()
             }),
             ..OscarConfig::paper_default()
         };
@@ -329,15 +377,15 @@ mod tests {
             .map(|slot| policy.decide(&net, slot, &mut rng_a))
             .collect();
         assert!(policy.session().remembered_pairs() > 0, "profile memory");
-        assert!(policy.session().lambda_entries() > 0, "λ memory");
+        assert!(policy.session().region_count() > 0, "memo memory");
 
         // Reset must clear every cross-slot store ...
         policy.reset();
         assert_eq!(policy.session().remembered_pairs(), 0);
-        assert_eq!(policy.session().lambda_entries(), 0);
+        assert_eq!(policy.session().region_count(), 0);
 
         // ... so a replay after reset is indistinguishable from a fresh
-        // policy: no λ or profile leakage between trials.
+        // policy: no memo or profile leakage between trials.
         let mut rng_b = rand::rngs::StdRng::seed_from_u64(99);
         let second_run: Vec<_> = slots
             .iter()

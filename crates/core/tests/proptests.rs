@@ -272,14 +272,7 @@ proptest! {
         let ctx = PerSlotContext::oscar(&net, &snap, v, price);
 
         for method in [
-            AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-                method: qdn_solve::DualMethod::Accelerated,
-                ..qdn_solve::RelaxedOptions::default()
-            }),
-            AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-                method: qdn_solve::DualMethod::Subgradient,
-                ..qdn_solve::RelaxedOptions::default()
-            }),
+            AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default()),
             AllocationMethod::Greedy,
             AllocationMethod::Minimal,
         ] {
@@ -333,9 +326,8 @@ proptest! {
 
     /// A run that threads one `SelectorSession` through every slot is
     /// bit-identical to building everything fresh per slot, as long as
-    /// warm seeding is off (`warm_profile_seed: false` and
-    /// `warm_start: false`) — across both partitions, both dual
-    /// methods, Gibbs and greedy-local selectors, drifting prices,
+    /// warm seeding is off (`warm_profile_seed: false`) — across both
+    /// partitions, Gibbs and greedy-local selectors, drifting prices,
     /// changing request sets, and alternating OSCAR/budgeted contexts.
     #[test]
     fn session_matches_fresh_per_slot(
@@ -348,129 +340,54 @@ proptest! {
         use qdn_net::routes::{CandidateRoutes, RouteLimits};
 
         let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
-        for dual in [
-            qdn_solve::DualMethod::Accelerated,
-            qdn_solve::DualMethod::Subgradient,
-        ] {
-            let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-                method: dual,
-                ..qdn_solve::RelaxedOptions::default()
-            });
-            for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
-                let evaluator = EvalOptions { partition, warm_profile_seed: false };
-                for selector in [
-                    RouteSelector::Gibbs(GibbsConfig {
-                        iterations: 10,
-                        evaluator,
-                        ..GibbsConfig::paper_default()
-                    }),
-                    RouteSelector::GreedyLocal { max_rounds: 3, evaluator },
-                ] {
-                    let mut session = SelectorSession::new();
-                    let mut env = rand::rngs::StdRng::seed_from_u64(seed);
-                    // Identical policy RNG streams for the two paths.
-                    let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
-                    let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
-                    let mut price = 1.0 + (seed % 7) as f64;
-                    for slot in 0..4u64 {
-                        let n_pairs = 1 + (slot as usize + seed as usize) % 2;
-                        let owned: Vec<(SdPair, Vec<Path>)> = (0..n_pairs)
-                            .map(|_| {
-                                let pair = qdn_net::workload::random_sd_pair(&mut env, &net);
-                                (pair, cr.routes(&net, pair).to_vec())
-                            })
-                            .filter(|(_, routes)| !routes.is_empty())
-                            .collect();
-                        let cands: Vec<Candidates> = owned
-                            .iter()
-                            .map(|(pair, routes)| Candidates { pair: *pair, routes })
-                            .collect();
-                        let snap = CapacitySnapshot::full(&net);
-                        // Alternate the budget-coupled myopic context in.
-                        let ctx = if slot % 2 == 0 {
-                            PerSlotContext::oscar(&net, &snap, v, price)
-                        } else {
-                            PerSlotContext::myopic(&net, &snap, 40 + slot)
-                        };
-                        let with_session =
-                            selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
-                        let fresh = selector.select(&ctx, &cands, &method, &mut rng_fresh);
-                        prop_assert_eq!(
-                            &with_session, &fresh,
-                            "slot {} diverged ({:?}, {:?}, {})",
-                            slot, dual, partition, selector.label()
-                        );
-                        price += 3.0 + (slot as f64) * 2.0; // drifting q_t
-                    }
-                }
-            }
-        }
-    }
-
-    /// With warm starts enabled (`RelaxedOptions::warm_start` — session
-    /// λ seeding engages across slots), the session path is no longer
-    /// bit-identical, but on an *exact* selector (exhaustive
-    /// enumeration) it must select profiles whose objectives agree with
-    /// the fresh path within the solver's certified tolerance, slot
-    /// after slot. This is the "within the certified gap" arm of the
-    /// session determinism contract.
-    #[test]
-    fn warm_session_objective_within_certified_gap(
-        net in arb_ring_network(),
-        seed in 0u64..1000,
-        v in 100.0f64..2000.0,
-    ) {
-        use qdn_core::profile_eval::{EvalOptions, SelectorSession};
-        use qdn_core::route_selection::{Candidates, RouteSelector};
-        use qdn_net::routes::{CandidateRoutes, RouteLimits};
-
-        let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
-        let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-            warm_start: true,
-            ..qdn_solve::RelaxedOptions::default()
-        });
-        let selector = RouteSelector::Exhaustive {
-            max_combinations: 4096,
-            fallback: qdn_core::route_selection::GibbsConfig::paper_default(),
-            evaluator: EvalOptions::warm_seeded(),
-        };
-        let mut session = SelectorSession::new();
-        let mut env = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xFEED);
-        let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xFEED);
-        let mut price = 1.0;
-        for slot in 0..5u64 {
-            let owned: Vec<(SdPair, Vec<Path>)> = (0..2)
-                .map(|_| {
-                    let pair = qdn_net::workload::random_sd_pair(&mut env, &net);
-                    (pair, cr.routes(&net, pair).to_vec())
-                })
-                .filter(|(_, routes)| !routes.is_empty())
-                .collect();
-            let cands: Vec<Candidates> = owned
-                .iter()
-                .map(|(pair, routes)| Candidates { pair: *pair, routes })
-                .collect();
-            let snap = CapacitySnapshot::full(&net);
-            let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-            let warm = selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
-            let cold = selector.select(&ctx, &cands, &method, &mut rng_fresh);
-            match (&warm, &cold) {
-                (None, None) => {}
-                (Some(w), Some(c)) => {
-                    let (w, c) = (w.evaluation.objective, c.evaluation.objective);
-                    // Same tolerance discipline as the evaluator's
-                    // neighbor-λ agreement test: warm answers may move
-                    // within the solver tolerance, never past it.
-                    let tol = 0.05 * (1.0 + c.abs());
-                    prop_assert!(
-                        (w - c).abs() <= tol,
-                        "slot {}: warm {} vs cold {} (tol {})", slot, w, c, tol
+        let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
+        for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
+            let evaluator = EvalOptions { partition, warm_profile_seed: false };
+            for selector in [
+                RouteSelector::Gibbs(GibbsConfig {
+                    iterations: 10,
+                    evaluator,
+                    ..GibbsConfig::paper_default()
+                }),
+                RouteSelector::GreedyLocal { max_rounds: 3, evaluator },
+            ] {
+                let mut session = SelectorSession::new();
+                let mut env = rand::rngs::StdRng::seed_from_u64(seed);
+                // Identical policy RNG streams for the two paths.
+                let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
+                let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
+                let mut price = 1.0 + (seed % 7) as f64;
+                for slot in 0..4u64 {
+                    let n_pairs = 1 + (slot as usize + seed as usize) % 2;
+                    let owned: Vec<(SdPair, Vec<Path>)> = (0..n_pairs)
+                        .map(|_| {
+                            let pair = qdn_net::workload::random_sd_pair(&mut env, &net);
+                            (pair, cr.routes(&net, pair).to_vec())
+                        })
+                        .filter(|(_, routes)| !routes.is_empty())
+                        .collect();
+                    let cands: Vec<Candidates> = owned
+                        .iter()
+                        .map(|(pair, routes)| Candidates { pair: *pair, routes })
+                        .collect();
+                    let snap = CapacitySnapshot::full(&net);
+                    // Alternate the budget-coupled myopic context in.
+                    let ctx = if slot % 2 == 0 {
+                        PerSlotContext::oscar(&net, &snap, v, price)
+                    } else {
+                        PerSlotContext::myopic(&net, &snap, 40 + slot)
+                    };
+                    let with_session =
+                        selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
+                    let fresh = selector.select(&ctx, &cands, &method, &mut rng_fresh);
+                    prop_assert_eq!(
+                        &with_session, &fresh,
+                        "slot {} diverged ({:?}, {})",
+                        slot, partition, selector.label()
                     );
+                    price += 3.0 + (slot as f64) * 2.0; // drifting q_t
                 }
-                _ => prop_assert!(false, "feasibility diverged at slot {}", slot),
             }
-            price += 5.0;
         }
     }
 
@@ -478,8 +395,8 @@ proptest! {
     /// candidate-union partition (and hence, transitively through
     /// `incremental_matches_full_rebuild`, to the full-rebuild path):
     /// same feasibility verdicts, same objectives (via `to_bits`), same
-    /// allocations — across random topologies and pair sets, both dual
-    /// methods plus the greedy allocator, and a random walk that mixes
+    /// allocations — across random topologies and pair sets, the
+    /// relax-and-round and greedy allocators, and a random walk that mixes
     /// declared single-pair moves (the selectors' move-hook entry point,
     /// which churns the dynamic groups through merges and splits) with
     /// arbitrary profile jumps.
@@ -513,14 +430,7 @@ proptest! {
         let ctx = PerSlotContext::oscar(&net, &snap, v, price);
 
         for method in [
-            AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-                method: qdn_solve::DualMethod::Accelerated,
-                ..qdn_solve::RelaxedOptions::default()
-            }),
-            AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-                method: qdn_solve::DualMethod::Subgradient,
-                ..qdn_solve::RelaxedOptions::default()
-            }),
+            AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default()),
             AllocationMethod::Greedy,
         ] {
             let mut dynamic =
@@ -584,8 +494,8 @@ proptest! {
     /// slots through the engine facade, snapshotting mid-run through
     /// the JSON wire form, restoring into a fresh `EngineState`, and
     /// continuing both the original and the restored state with twin
-    /// RNGs yields bit-identical decisions — across both partitions and
-    /// both dual methods. The restored state must also re-snapshot to
+    /// RNGs yields bit-identical decisions — across both partitions. The
+    /// restored state must also re-snapshot to
     /// the exact same bytes (canonical ordering), which is what lets
     /// the serve daemon restart warm without drifting.
     #[test]
@@ -610,76 +520,67 @@ proptest! {
             })
             .collect();
         let snap = CapacitySnapshot::full(&net);
-        for dual in [
-            qdn_solve::DualMethod::Accelerated,
-            qdn_solve::DualMethod::Subgradient,
-        ] {
-            let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-                method: dual,
-                ..qdn_solve::RelaxedOptions::default()
+        let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
+        for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
+            let evaluator = EvalOptions { partition, warm_profile_seed: false };
+            let selector = RouteSelector::Gibbs(GibbsConfig {
+                iterations: 8,
+                evaluator,
+                ..GibbsConfig::paper_default()
             });
-            for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
-                let evaluator = EvalOptions { partition, warm_profile_seed: false };
-                let selector = RouteSelector::Gibbs(GibbsConfig {
-                    iterations: 8,
-                    evaluator,
-                    ..GibbsConfig::paper_default()
+            let mut state = EngineState::new(RouteLimits::paper_default());
+            let mut price = 1.0 + (seed % 5) as f64;
+            for (slot, reqs) in trace.iter().enumerate().take(3) {
+                let ctx = PerSlotContext::oscar(&net, &snap, v, price);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
+                let _ = decide(&mut state, SlotDecisionRequest {
+                    network: &net,
+                    requests: reqs,
+                    ctx: &ctx,
+                    selector: &selector,
+                    allocation: &method,
+                    fidelity_target: None,
+                    rng: &mut rng,
                 });
-                let mut state = EngineState::new(RouteLimits::paper_default());
-                let mut price = 1.0 + (seed % 5) as f64;
-                for (slot, reqs) in trace.iter().enumerate().take(3) {
-                    let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
-                    let _ = decide(&mut state, SlotDecisionRequest {
-                        network: &net,
-                        requests: reqs,
-                        ctx: &ctx,
-                        selector: &selector,
-                        allocation: &method,
-                        fidelity_target: None,
-                        rng: &mut rng,
-                    });
-                    price += 3.0 + slot as f64;
-                }
-                let wire = serde_json::to_string(&state.snapshot()).unwrap();
-                let decoded: EngineSnapshot = serde_json::from_str(&wire).unwrap();
-                let mut restored = EngineState::restore(&decoded).unwrap();
+                price += 3.0 + slot as f64;
+            }
+            let wire = serde_json::to_string(&state.snapshot()).unwrap();
+            let decoded: EngineSnapshot = serde_json::from_str(&wire).unwrap();
+            let mut restored = EngineState::restore(&decoded).unwrap();
+            prop_assert_eq!(
+                serde_json::to_string(&restored.snapshot()).unwrap(),
+                wire,
+                "re-snapshot not byte-identical ({:?})",
+                partition
+            );
+            for (slot, reqs) in trace.iter().enumerate().skip(3) {
+                let ctx = PerSlotContext::oscar(&net, &snap, v, price);
+                let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
+                let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
+                let cont = decide(&mut state, SlotDecisionRequest {
+                    network: &net,
+                    requests: reqs,
+                    ctx: &ctx,
+                    selector: &selector,
+                    allocation: &method,
+                    fidelity_target: None,
+                    rng: &mut rng_a,
+                });
+                let rest = decide(&mut restored, SlotDecisionRequest {
+                    network: &net,
+                    requests: reqs,
+                    ctx: &ctx,
+                    selector: &selector,
+                    allocation: &method,
+                    fidelity_target: None,
+                    rng: &mut rng_b,
+                });
                 prop_assert_eq!(
-                    serde_json::to_string(&restored.snapshot()).unwrap(),
-                    wire,
-                    "re-snapshot not byte-identical ({:?}, {:?})",
-                    dual,
-                    partition
+                    &cont, &rest,
+                    "slot {} diverged after restore ({:?})",
+                    slot, partition
                 );
-                for (slot, reqs) in trace.iter().enumerate().skip(3) {
-                    let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-                    let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
-                    let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed ^ ((slot as u64) << 8));
-                    let cont = decide(&mut state, SlotDecisionRequest {
-                        network: &net,
-                        requests: reqs,
-                        ctx: &ctx,
-                        selector: &selector,
-                        allocation: &method,
-                        fidelity_target: None,
-                        rng: &mut rng_a,
-                    });
-                    let rest = decide(&mut restored, SlotDecisionRequest {
-                        network: &net,
-                        requests: reqs,
-                        ctx: &ctx,
-                        selector: &selector,
-                        allocation: &method,
-                        fidelity_target: None,
-                        rng: &mut rng_b,
-                    });
-                    prop_assert_eq!(
-                        &cont, &rest,
-                        "slot {} diverged after restore ({:?}, {:?})",
-                        slot, dual, partition
-                    );
-                    price += 3.0 + slot as f64;
-                }
+                price += 3.0 + slot as f64;
             }
         }
     }
@@ -688,8 +589,8 @@ proptest! {
     /// rebuild: threading one `SelectorSession` (and one incrementally
     /// repaired `CandidateRoutes` cache) through a trace of link cuts
     /// and repairs is bit-identical to building the evaluator fresh
-    /// every slot over the same candidates — across both partitions and
-    /// both dual methods. Region-scoped invalidation may retain memos
+    /// every slot over the same candidates — across both partitions.
+    /// Region-scoped invalidation may retain memos
     /// across a cut; this pins down that it never retains a stale one.
     #[test]
     fn churn_matches_cold_rebuild(
@@ -708,70 +609,62 @@ proptest! {
             .map(|_| qdn_net::workload::random_sd_pair(&mut env, &net))
             .collect();
         let m = net.edge_count();
-        for dual in [
-            qdn_solve::DualMethod::Accelerated,
-            qdn_solve::DualMethod::Subgradient,
-        ] {
-            let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-                method: dual,
-                ..qdn_solve::RelaxedOptions::default()
+        let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
+        for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
+            let evaluator = EvalOptions { partition, warm_profile_seed: false };
+            let selector = RouteSelector::Gibbs(GibbsConfig {
+                iterations: 8,
+                evaluator,
+                ..GibbsConfig::paper_default()
             });
-            for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
-                let evaluator = EvalOptions { partition, warm_profile_seed: false };
-                let selector = RouteSelector::Gibbs(GibbsConfig {
-                    iterations: 8,
-                    evaluator,
-                    ..GibbsConfig::paper_default()
-                });
-                let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
-                let mut session = SelectorSession::new();
-                let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
-                let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
-                let mut down = vec![false; m];
-                let mut price = 1.0 + (seed % 5) as f64;
-                for slot in 0..6u64 {
-                    // Toggle one link per slot: first sighting cuts it,
-                    // the next toggle repairs it — a fail/repair trace.
-                    let e = ((seed as usize).wrapping_add(slot as usize * 7)) % m;
-                    down[e] = !down[e];
-                    let channels: Vec<u32> = net
-                        .graph()
-                        .edge_ids()
-                        .map(|e| if down[e.index()] { 0 } else { net.channel_capacity(e) })
-                        .collect();
-                    let qubits: Vec<u32> = net
-                        .graph()
-                        .node_ids()
-                        .map(|v| net.qubit_capacity(v))
-                        .collect();
-                    let snap = CapacitySnapshot::clamped(&net, qubits, channels);
-                    cr.sync_dead_edges(&net, &snap);
-                    let owned: Vec<(SdPair, Vec<Path>)> = pairs
-                        .iter()
-                        .map(|&p| (p, cr.routes(&net, p).to_vec()))
-                        .filter(|(_, routes)| !routes.is_empty())
-                        .collect();
-                    if owned.is_empty() {
-                        // Both paths see the same disconnection; the
-                        // session simply idles this slot.
-                        price += 2.0;
-                        continue;
-                    }
-                    let cands: Vec<Candidates> = owned
-                        .iter()
-                        .map(|(pair, routes)| Candidates { pair: *pair, routes })
-                        .collect();
-                    let ctx = PerSlotContext::oscar(&net, &snap, v, price);
-                    let with_session =
-                        selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
-                    let fresh = selector.select(&ctx, &cands, &method, &mut rng_fresh);
-                    prop_assert_eq!(
-                        &with_session, &fresh,
-                        "slot {} diverged ({:?}, {:?})",
-                        slot, dual, partition
-                    );
-                    price += 3.0 + (slot as f64);
+            let mut cr = CandidateRoutes::new(RouteLimits::paper_default());
+            let mut session = SelectorSession::new();
+            let mut rng_session = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
+            let mut rng_fresh = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
+            let mut down = vec![false; m];
+            let mut price = 1.0 + (seed % 5) as f64;
+            for slot in 0..6u64 {
+                // Toggle one link per slot: first sighting cuts it,
+                // the next toggle repairs it — a fail/repair trace.
+                let e = ((seed as usize).wrapping_add(slot as usize * 7)) % m;
+                down[e] = !down[e];
+                let channels: Vec<u32> = net
+                    .graph()
+                    .edge_ids()
+                    .map(|e| if down[e.index()] { 0 } else { net.channel_capacity(e) })
+                    .collect();
+                let qubits: Vec<u32> = net
+                    .graph()
+                    .node_ids()
+                    .map(|v| net.qubit_capacity(v))
+                    .collect();
+                let snap = CapacitySnapshot::clamped(&net, qubits, channels);
+                cr.sync_dead_edges(&net, &snap);
+                let owned: Vec<(SdPair, Vec<Path>)> = pairs
+                    .iter()
+                    .map(|&p| (p, cr.routes(&net, p).to_vec()))
+                    .filter(|(_, routes)| !routes.is_empty())
+                    .collect();
+                if owned.is_empty() {
+                    // Both paths see the same disconnection; the
+                    // session simply idles this slot.
+                    price += 2.0;
+                    continue;
                 }
+                let cands: Vec<Candidates> = owned
+                    .iter()
+                    .map(|(pair, routes)| Candidates { pair: *pair, routes })
+                    .collect();
+                let ctx = PerSlotContext::oscar(&net, &snap, v, price);
+                let with_session =
+                    selector.select_in(&mut session, &ctx, &cands, &method, &mut rng_session);
+                let fresh = selector.select(&ctx, &cands, &method, &mut rng_fresh);
+                prop_assert_eq!(
+                    &with_session, &fresh,
+                    "slot {} diverged ({:?})",
+                    slot, partition
+                );
+                price += 3.0 + (slot as f64);
             }
         }
     }
@@ -925,12 +818,10 @@ proptest! {
 // order, so running on the work-stealing pool is **bit-identical** to
 // the serial paths at every pool width — not "statistically the same",
 // the same bits.
-#[cfg(feature = "parallel")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Pool widths 1, 2, and 4 × both partition modes × both dual
-    /// methods, for both the multi-chain Gibbs sampler (per-chain
+    /// Pool widths 1, 2, and 4 × both partition modes, for both the multi-chain Gibbs sampler (per-chain
     /// seeded RNG streams, chain-index-order reduction, compared
     /// against the always-serial shared-evaluator reference) and the
     /// greedy-local selector (whose evaluator pre-pass fans component
@@ -966,114 +857,106 @@ proptest! {
         let ctx = PerSlotContext::oscar(&net, &snap, v, price);
         let chain_seeds: Vec<u64> = (0..4).map(|_| rng.random()).collect();
 
-        for dual in [
-            qdn_solve::DualMethod::Accelerated,
-            qdn_solve::DualMethod::Subgradient,
-        ] {
-            let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions {
-                method: dual,
-                ..qdn_solve::RelaxedOptions::default()
-            });
-            for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
-                let evaluator = EvalOptions { partition, warm_profile_seed: false };
+        let method = AllocationMethod::RelaxAndRound(qdn_solve::RelaxedOptions::default());
+        for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
+            let evaluator = EvalOptions { partition, warm_profile_seed: false };
 
-                // Gibbs restarts: the serial shared-evaluator reference
-                // trajectory, then the pool at each width.
-                let config = GibbsConfig {
-                    iterations: 6,
-                    restarts: chain_seeds.len(),
-                    evaluator,
-                    ..GibbsConfig::paper_default()
-                };
-                let reference = gibbs::sample_restarts_serial(
-                    &ctx, &cands, &method, &config, &chain_seeds, None,
-                );
-                let mut greedy_reference = None;
-                for width in [1usize, 2, 4] {
-                    let pool = threadpool::ThreadPool::new(width);
-                    let got = pool.install(|| {
-                        gibbs::sample_restarts(&ctx, &cands, &method, &config, &chain_seeds)
-                    });
-                    match (&reference, &got) {
-                        (None, None) => {}
-                        (Some(r), Some(g)) => {
-                            prop_assert_eq!(
-                                r.evaluation.objective.to_bits(),
-                                g.evaluation.objective.to_bits(),
-                                "gibbs objective diverged at width {} ({:?}, {:?})",
-                                width, dual, partition
-                            );
-                            prop_assert_eq!(&r.indices, &g.indices);
-                            prop_assert_eq!(&r.evaluation.allocations, &g.evaluation.allocations);
-                        }
-                        _ => prop_assert!(
-                            false,
-                            "gibbs feasibility diverged at width {} ({:?}, {:?})",
-                            width, dual, partition
-                        ),
+            // Gibbs restarts: the serial shared-evaluator reference
+            // trajectory, then the pool at each width.
+            let config = GibbsConfig {
+                iterations: 6,
+                restarts: chain_seeds.len(),
+                evaluator,
+                ..GibbsConfig::paper_default()
+            };
+            let reference = gibbs::sample_restarts_serial(
+                &ctx, &cands, &method, &config, &chain_seeds, None,
+            );
+            let mut greedy_reference = None;
+            for width in [1usize, 2, 4] {
+                let pool = threadpool::ThreadPool::new(width);
+                let got = pool.install(|| {
+                    gibbs::sample_restarts(&ctx, &cands, &method, &config, &chain_seeds)
+                });
+                match (&reference, &got) {
+                    (None, None) => {}
+                    (Some(r), Some(g)) => {
+                        prop_assert_eq!(
+                            r.evaluation.objective.to_bits(),
+                            g.evaluation.objective.to_bits(),
+                            "gibbs objective diverged at width {} ({:?})",
+                            width, partition
+                        );
+                        prop_assert_eq!(&r.indices, &g.indices);
+                        prop_assert_eq!(&r.evaluation.allocations, &g.evaluation.allocations);
                     }
+                    _ => prop_assert!(
+                        false,
+                        "gibbs feasibility diverged at width {} ({:?})",
+                        width, partition
+                    ),
+                }
 
-                    // Greedy-local selector: same selection at every
-                    // width (twin RNG streams), and the evaluator's
-                    // pooled pre-pass stays bit-identical to the serial
-                    // full-rebuild evaluation of the chosen profile.
-                    let selector = RouteSelector::GreedyLocal { max_rounds: 3, evaluator };
-                    let mut sel_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9EED);
-                    let greedy = pool.install(|| {
-                        selector.select(&ctx, &cands, &method, &mut sel_rng)
-                    });
-                    if let Some(g) = &greedy {
+                // Greedy-local selector: same selection at every
+                // width (twin RNG streams), and the evaluator's
+                // pooled pre-pass stays bit-identical to the serial
+                // full-rebuild evaluation of the chosen profile.
+                let selector = RouteSelector::GreedyLocal { max_rounds: 3, evaluator };
+                let mut sel_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9EED);
+                let greedy = pool.install(|| {
+                    selector.select(&ctx, &cands, &method, &mut sel_rng)
+                });
+                if let Some(g) = &greedy {
+                    let profile: Vec<(SdPair, &Path)> = cands
+                        .iter()
+                        .zip(&g.indices)
+                        .map(|(c, &i)| (c.pair, &c.routes[i]))
+                        .collect();
+                    let rebuilt = ctx
+                        .evaluate(&profile, &method)
+                        .expect("selected profile is feasible");
+                    prop_assert_eq!(
+                        rebuilt.objective.to_bits(),
+                        g.evaluation.objective.to_bits(),
+                        "greedy evaluation diverged from full rebuild at width {}",
+                        width
+                    );
+                }
+                let first = greedy_reference.get_or_insert_with(|| greedy.clone());
+                prop_assert_eq!(
+                    &*first, &greedy,
+                    "greedy selection diverged at width {} ({:?})",
+                    width, partition
+                );
+
+                // The evaluator pre-pass directly: a short random
+                // walk, every profile compared bit-for-bit against
+                // the serial full rebuild.
+                let mut walk_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xA11E);
+                pool.install(|| -> proptest::TestCaseResult {
+                    let mut eval =
+                        ProfileEvaluator::new(&ctx, &cands, &method, evaluator);
+                    let mut indices: Vec<usize> = cands
+                        .iter()
+                        .map(|c| walk_rng.random_range(0..c.routes.len()))
+                        .collect();
+                    for _ in 0..6 {
                         let profile: Vec<(SdPair, &Path)> = cands
                             .iter()
-                            .zip(&g.indices)
+                            .zip(&indices)
                             .map(|(c, &i)| (c.pair, &c.routes[i]))
                             .collect();
-                        let rebuilt = ctx
-                            .evaluate(&profile, &method)
-                            .expect("selected profile is feasible");
                         prop_assert_eq!(
-                            rebuilt.objective.to_bits(),
-                            g.evaluation.objective.to_bits(),
-                            "greedy evaluation diverged from full rebuild at width {}",
-                            width
+                            ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
+                            eval.evaluate_objective(&indices).map(f64::to_bits),
+                            "pre-pass diverged at width {} ({:?})",
+                            width, partition
                         );
+                        let i = walk_rng.random_range(0..indices.len());
+                        indices[i] = walk_rng.random_range(0..cands[i].routes.len());
                     }
-                    let first = greedy_reference.get_or_insert_with(|| greedy.clone());
-                    prop_assert_eq!(
-                        &*first, &greedy,
-                        "greedy selection diverged at width {} ({:?}, {:?})",
-                        width, dual, partition
-                    );
-
-                    // The evaluator pre-pass directly: a short random
-                    // walk, every profile compared bit-for-bit against
-                    // the serial full rebuild.
-                    let mut walk_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xA11E);
-                    pool.install(|| -> proptest::TestCaseResult {
-                        let mut eval =
-                            ProfileEvaluator::new(&ctx, &cands, &method, evaluator);
-                        let mut indices: Vec<usize> = cands
-                            .iter()
-                            .map(|c| walk_rng.random_range(0..c.routes.len()))
-                            .collect();
-                        for _ in 0..6 {
-                            let profile: Vec<(SdPair, &Path)> = cands
-                                .iter()
-                                .zip(&indices)
-                                .map(|(c, &i)| (c.pair, &c.routes[i]))
-                                .collect();
-                            prop_assert_eq!(
-                                ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
-                                eval.evaluate_objective(&indices).map(f64::to_bits),
-                                "pre-pass diverged at width {} ({:?}, {:?})",
-                                width, dual, partition
-                            );
-                            let i = walk_rng.random_range(0..indices.len());
-                            indices[i] = walk_rng.random_range(0..cands[i].routes.len());
-                        }
-                        Ok(())
-                    })?;
-                }
+                    Ok(())
+                })?;
             }
         }
     }

@@ -78,7 +78,7 @@ impl Daemon {
             config.shards,
             config.threads,
             Arc::clone(&network),
-            Arc::new(config.oscar.clone()),
+            &config.oscar,
         )?;
         Ok(Daemon {
             config,
@@ -401,7 +401,7 @@ impl Daemon {
                 self.config.shards,
                 self.config.threads,
                 Arc::clone(&self.network),
-                Arc::new(self.config.oscar.clone()),
+                &self.config.oscar,
             )?;
         }
         self.dynamics.reset();

@@ -1,12 +1,13 @@
 //! Shard-per-core warm sessions.
 //!
-//! The daemon owns one OS thread per shard; each thread owns a
-//! [`EngineState`] (candidate route cache + selection session +
-//! fidelity-filter cache) and a [`VirtualQueue`] over its slice of the
-//! budget, and blocks on a plain mpsc channel for work. SD pairs are
+//! The daemon owns one OS thread per shard; each thread owns an
+//! [`OscarPolicy`] over its slice of the budget (candidate route cache,
+//! selection session, fidelity-filter cache and virtual queue) and
+//! blocks on a plain mpsc channel for work. A shard decides a slot with
+//! the same [`OscarPolicy::step`] the simulator runs. SD pairs are
 //! mapped to shards by **canonical source node** ([`shard_of`]), so a
-//! pair's warm region state — memos, λ seeds, previous route — always
-//! lands on the thread that already holds it. There is no async
+//! pair's warm region state — memos, previous route — always lands on
+//! the thread that already holds it. There is no async
 //! runtime: one blocking thread per shard, rendezvous by channel.
 //!
 //! Every tick touches every shard (even ones with no arrivals): an idle
@@ -18,11 +19,8 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 
-use qdn_core::engine::{self, EngineState, SlotDecisionRequest};
-use qdn_core::lyapunov::VirtualQueue;
-use qdn_core::problem::PerSlotContext;
 use qdn_core::types::Decision;
-use qdn_core::OscarConfig;
+use qdn_core::{OscarConfig, OscarPolicy, RoutingPolicy};
 use qdn_graph::EdgeId;
 use qdn_net::{CapacitySnapshot, QdnNetwork, SdPair};
 use rand::SeedableRng;
@@ -79,22 +77,11 @@ struct ShardWorker {
     index: usize,
     seed: u64,
     network: Arc<QdnNetwork>,
-    oscar: Arc<OscarConfig>,
-    state: EngineState,
-    queue: VirtualQueue,
-    spent: u64,
+    policy: OscarPolicy,
 }
 
 impl ShardWorker {
-    fn fresh_queue(oscar: &OscarConfig, shards: u32) -> VirtualQueue {
-        VirtualQueue::new(
-            oscar.q0,
-            oscar.total_budget / f64::from(shards.max(1)),
-            oscar.horizon,
-        )
-    }
-
-    fn run(mut self, rx: mpsc::Receiver<ShardMsg>, shards: u32) {
+    fn run(mut self, rx: mpsc::Receiver<ShardMsg>) {
         while let Ok(msg) = rx.recv() {
             match msg {
                 ShardMsg::Decide {
@@ -103,56 +90,34 @@ impl ShardWorker {
                     snapshot,
                     reply,
                 } => {
-                    let ctx = PerSlotContext::oscar(
-                        &self.network,
-                        &snapshot,
-                        self.oscar.v,
-                        self.queue.value(),
-                    );
                     let mut rng = slot_rng(self.seed, slot, self.index as u64);
-                    let decision = engine::decide(
-                        &mut self.state,
-                        SlotDecisionRequest {
-                            network: &self.network,
-                            requests: &requests,
-                            ctx: &ctx,
-                            selector: &self.oscar.selector,
-                            allocation: &self.oscar.allocation,
-                            fidelity_target: self.oscar.fidelity_target,
-                            rng: &mut rng,
-                        },
-                    );
-                    let cost = decision.total_cost();
-                    self.spent += cost;
-                    self.queue.update(cost);
+                    let decision = self
+                        .policy
+                        .step(&self.network, &snapshot, &requests, &mut rng);
                     let _ = reply.send((self.index, decision));
                 }
                 ShardMsg::Snapshot { reply } => {
                     let _ = reply.send((
                         self.index,
                         ShardSnapshot {
-                            engine: self.state.snapshot(),
-                            queue: self.queue,
-                            spent: self.spent,
+                            engine: self.policy.engine_state().snapshot(),
+                            queue: self.policy.queue(),
+                            spent: self.policy.spent(),
                         },
                     ));
                 }
                 ShardMsg::Restore { snapshot, reply } => {
-                    let result = EngineState::restore(&snapshot.engine).map(|state| {
-                        self.state = state;
-                        self.queue = snapshot.queue;
-                        self.spent = snapshot.spent;
-                    });
+                    let result =
+                        self.policy
+                            .restore(&snapshot.engine, snapshot.queue, snapshot.spent);
                     let _ = reply.send(result);
                 }
                 ShardMsg::Reset { reply } => {
-                    self.state.reset();
-                    self.queue = Self::fresh_queue(&self.oscar, shards);
-                    self.spent = 0;
+                    self.policy.reset();
                     let _ = reply.send(());
                 }
                 ShardMsg::Prewarm { edges, reply } => {
-                    let pairs = self.state.prewarm_dead_edges(&self.network, &edges);
+                    let pairs = self.policy.prewarm_dead_edges(&self.network, &edges);
                     let _ = reply.send((self.index, pairs));
                 }
                 ShardMsg::Stop => break,
@@ -178,8 +143,9 @@ pub struct ShardPool {
 
 impl ShardPool {
     /// Spawns `shards` worker threads over a shared network, each with
-    /// the `threads`-wide shared solve pool installed (`0` = one worker
-    /// per available CPU). Fails if the OS refuses a thread;
+    /// an [`OscarPolicy`] over `total_budget / shards` and the
+    /// `threads`-wide shared solve pool installed (`0` = one worker per
+    /// available CPU). Fails if the OS refuses a thread;
     /// already-spawned workers are stopped and joined by the partial
     /// pool's `Drop`.
     pub fn new(
@@ -187,10 +153,13 @@ impl ShardPool {
         shards: u32,
         threads: usize,
         network: Arc<QdnNetwork>,
-        oscar: Arc<OscarConfig>,
+        oscar: &OscarConfig,
     ) -> Result<ShardPool, String> {
         let shards = shards.max(1);
         let solve_pool = threadpool::global_with(threads);
+        let shard_oscar = oscar
+            .clone()
+            .with_budget(oscar.total_budget / f64::from(shards));
         let mut pool = ShardPool {
             senders: Vec::with_capacity(shards as usize),
             joins: Vec::with_capacity(shards as usize),
@@ -202,16 +171,13 @@ impl ShardPool {
                 index,
                 seed,
                 network: Arc::clone(&network),
-                oscar: Arc::clone(&oscar),
-                state: EngineState::new(oscar.route_limits),
-                queue: ShardWorker::fresh_queue(&oscar, shards),
-                spent: 0,
+                policy: OscarPolicy::new(shard_oscar.clone()),
             };
             let solve_pool = pool.solve_pool.clone();
             // qdn-lint: allow(raw-spawn, reason="shard threads are long-lived warm-state owners keyed by shard index, not decision-path parallelism; parallel solve stages go through the installed compat pool")
             let join = thread::Builder::new()
                 .name(format!("qdn-shard-{index}"))
-                .spawn(move || solve_pool.install(|| worker.run(rx, shards)))
+                .spawn(move || solve_pool.install(|| worker.run(rx)))
                 .map_err(|e| format!("spawn shard thread {index}: {e}"))?;
             pool.joins.push(join);
             pool.senders.push(tx);

@@ -46,23 +46,21 @@
 //! The momentum point `y` may leave the nonnegative orthant; `D(y)` is
 //! still well defined (a negative price just pins `x* = ub`), and only
 //! the *projected* iterates — which are dual feasible — contribute to
-//! the certified `dual_bound`. Primal recovery mirrors the subgradient
-//! loop: the repaired current argmax and the repaired running average
-//! are both candidate incumbents each iteration, and as `λ_k → λ*` the
-//! unique argmax converges to the primal optimum, driving the certified
-//! gap to zero (the subgradient iterate, by contrast, circles the
-//! optimum forever at `O(1/k)`).
+//! the certified `dual_bound`. Primal recovery: the repaired current
+//! argmax and the repaired running average are both candidate
+//! incumbents each iteration, and as `λ_k → λ*` the unique argmax
+//! converges to the primal optimum, driving the certified gap to zero (a
+//! plain subgradient iterate, by contrast, circles the optimum forever
+//! at `O(1/k)`).
 //!
-//! The loop shares the CSR evaluation passes with the subgradient method
+//! The loop runs on the CSR evaluation passes in [`crate::relaxed`]
 //! ([`crate::relaxed::dual_value_at`], [`crate::relaxed::residual_pass`],
 //! [`crate::relaxed::consider_primal`]): one price-gather + fused
 //! argmax/dual pass per gradient or function evaluation, a fixed set of
 //! buffers allocated up front, and nothing allocated inside the loop.
 
 use crate::instance::AllocationInstance;
-use crate::relaxed::{
-    consider_primal, dual_value_at, residual_pass, seeded_incumbent, RelaxedSolution, VarCache,
-};
+use crate::relaxed::{consider_primal, dual_value_at, residual_pass, RelaxedSolution, VarCache};
 
 /// Growth factor when the smoothness bound fails (standard FISTA
 /// backtracking).
@@ -75,26 +73,20 @@ const L_DOWN: f64 = 0.9;
 /// point.
 const L_MAX: f64 = 1e18;
 
-/// One accelerated dual run: FISTA from `lambda0` (`None` = cold λ = 0),
-/// stopping when the certified relative gap falls below `accept_gap` or
-/// after `max_iters` iterations. `incumbent` seeds the best-known
-/// primal/dual trackers (the warm-fallback carry-over).
+/// One accelerated dual run: FISTA from λ = 0, stopping when the
+/// certified relative gap falls below `accept_gap` or after `max_iters`
+/// iterations.
 pub(crate) fn accelerated_iterate(
     instance: &AllocationInstance,
-    lambda0: Option<&[f64]>,
     accept_gap: f64,
     max_iters: usize,
-    incumbent: Option<&RelaxedSolution>,
 ) -> RelaxedSolution {
     let n = instance.num_vars();
     let m = instance.num_constraints();
     let cache = VarCache::new(instance);
 
     // λ: last accepted (projected, dual-feasible) iterate.
-    let mut lambda = match lambda0 {
-        Some(w) => w.iter().map(|&l| l.max(0.0)).collect::<Vec<_>>(),
-        None => vec![0.0f64; m],
-    };
+    let mut lambda = vec![0.0f64; m];
     // Candidate iterate and momentum point.
     let mut lambda_new = vec![0.0f64; m];
     let mut y = lambda.clone();
@@ -105,7 +97,9 @@ pub(crate) fn accelerated_iterate(
     let mut repaired = vec![0.0f64; n];
     let mut theta_c = vec![1.0f64; m];
     let mut g = vec![0.0f64; m]; // residual usage − cap = −∇D
-    let (mut best_dual, mut best_primal, mut best_x) = seeded_incumbent(incumbent, n);
+    let mut best_dual = f64::INFINITY;
+    let mut best_primal = f64::NEG_INFINITY;
+    let mut best_x = vec![1.0f64; n];
 
     // The starting point is dual feasible: a valid bound and the restart
     // reference.
@@ -181,7 +175,7 @@ pub(crate) fn accelerated_iterate(
             );
         }
 
-        // Certified-gap stop (same formula as the subgradient loop).
+        // Certified-gap stop.
         if best_dual.is_finite() && best_primal.is_finite() {
             let gap = best_dual - best_primal;
             let scale = 1.0 + best_dual.abs().max(best_primal.abs());
@@ -221,14 +215,11 @@ pub(crate) fn accelerated_iterate(
 #[cfg(test)]
 mod tests {
     use crate::instance::{PackingConstraint, Variable};
-    use crate::relaxed::{solve_relaxed, DualMethod, RelaxedOptions};
+    use crate::relaxed::{solve_relaxed, RelaxedOptions};
     use crate::AllocationInstance;
 
     fn accel_opts() -> RelaxedOptions {
-        RelaxedOptions {
-            method: DualMethod::Accelerated,
-            ..RelaxedOptions::default()
-        }
+        RelaxedOptions::default()
     }
 
     fn inst(ps: &[f64], cons: &[(u32, &[usize])], v: f64, price: f64) -> AllocationInstance {

@@ -3,23 +3,9 @@
 use proptest::prelude::*;
 use qdn_solve::brute::brute_force_best;
 use qdn_solve::greedy::greedy_allocate;
-use qdn_solve::relaxed::{
-    repair_feasibility, solve_relaxed, solve_relaxed_warm, DualMethod, RelaxedOptions,
-};
+use qdn_solve::relaxed::{repair_feasibility, solve_relaxed, RelaxedOptions};
 use qdn_solve::rounding::{round_down_and_fill, satisfies_rounding_relation};
 use qdn_solve::{AllocationInstance, PackingConstraint, Variable};
-
-/// Strategy: options for either dual method (default everything else).
-fn arb_method() -> impl Strategy<Value = RelaxedOptions> {
-    bool::ANY.prop_map(|accelerated| RelaxedOptions {
-        method: if accelerated {
-            DualMethod::Accelerated
-        } else {
-            DualMethod::Subgradient
-        },
-        ..RelaxedOptions::default()
-    })
-}
 
 /// Strategy: a feasible random instance with 1..5 variables and 1..4
 /// overlapping packing constraints.
@@ -116,73 +102,19 @@ proptest! {
     }
 
     /// `converged == true` is a *certificate*: the reported relative
-    /// duality gap is at most the acceptance gap the run used (the
-    /// strict `gap_tolerance` for cold solves), for both dual methods.
+    /// duality gap is at most the strict `gap_tolerance`.
     #[test]
-    fn converged_implies_certified_gap(inst in arb_instance(), opts in arb_method()) {
+    fn converged_implies_certified_gap(inst in arb_instance()) {
+        let opts = RelaxedOptions::default();
         let s = solve_relaxed(&inst, &opts).unwrap();
         if s.converged {
             prop_assert!(
                 s.relative_gap() <= opts.gap_tolerance + 1e-12,
-                "{:?} claims convergence at relative gap {} > tolerance {}",
-                opts.method, s.relative_gap(), opts.gap_tolerance
+                "claims convergence at relative gap {} > tolerance {}",
+                s.relative_gap(), opts.gap_tolerance
             );
         }
         // Either way the bounds must bracket: primal ≤ dual (+ fp slack).
         prop_assert!(s.primal_value <= s.dual_bound + 1e-6 * (1.0 + s.dual_bound.abs()));
-    }
-
-    /// The two dual methods solve the same relaxation: their primal
-    /// values both lie within their certified duality gaps of the common
-    /// optimum, so they disagree by at most the sum of the gaps.
-    #[test]
-    fn accel_matches_subgradient_objective(inst in arb_instance()) {
-        let sub = solve_relaxed(&inst, &RelaxedOptions {
-            method: DualMethod::Subgradient,
-            ..RelaxedOptions::default()
-        }).unwrap();
-        let acc = solve_relaxed(&inst, &RelaxedOptions {
-            method: DualMethod::Accelerated,
-            ..RelaxedOptions::default()
-        }).unwrap();
-        prop_assert!(inst.is_feasible_real(&acc.x, 1e-6));
-        let tol = sub.gap().abs() + acc.gap().abs()
-            + 1e-9 * (1.0 + sub.primal_value.abs());
-        prop_assert!(
-            (sub.primal_value - acc.primal_value).abs() <= tol,
-            "subgradient {} vs accelerated {} (tol {tol}, gaps {} / {})",
-            sub.primal_value, acc.primal_value, sub.gap(), acc.gap()
-        );
-    }
-
-    /// Warm-started solves agree with the cold solve within the solver
-    /// tolerance: both primal values lie within their duality gaps of the
-    /// common relaxed optimum, so they differ by at most the larger gap.
-    /// The warm seed is a perturbed copy of the cold λ — the "neighboring
-    /// profile" shape the profile evaluator's store produces.
-    #[test]
-    fn warm_vs_cold_objective_agreement(
-        inst in arb_instance(),
-        perturb in 0.5f64..2.0,
-        offset in 0.0f64..5.0,
-        opts in arb_method(),
-    ) {
-        let cold = solve_relaxed(&inst, &opts).unwrap();
-        let seed: Vec<f64> = cold.lambda.iter().map(|&l| l * perturb + offset).collect();
-        let warm = solve_relaxed_warm(&inst, &opts, Some(&seed)).unwrap();
-
-        // Same guarantees as the cold solve.
-        prop_assert!(inst.is_feasible_real(&warm.x, 1e-6));
-        prop_assert!(warm.primal_value <= warm.dual_bound + 1e-6 * (1.0 + warm.dual_bound.abs()));
-
-        // Objective agreement within solver tolerance. The gap itself is
-        // bounded by the relative tolerance when the solve converged; use
-        // the measured gaps (plus slack) as the yardstick either way.
-        let tol = cold.gap().abs().max(warm.gap().abs()) + 1e-9 * (1.0 + cold.primal_value.abs());
-        prop_assert!(
-            (warm.primal_value - cold.primal_value).abs() <= tol,
-            "warm {} vs cold {} (tol {tol}, converged warm={} cold={})",
-            warm.primal_value, cold.primal_value, warm.converged, cold.converged
-        );
     }
 }

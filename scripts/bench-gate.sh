@@ -14,7 +14,6 @@
 #   * profile_eval_paper20/incremental_move/*       (memoized re-eval)
 #   * profile_eval_paper20/incremental_cold_eval/*  (cold component solves)
 #   * profile_eval_wax50/incremental_*              (50-node/25-pair scale)
-#   * accel_vs_subgradient/*                        (dual-method cold solves)
 #   * dynamic_vs_static_partition/*                 (route-keyed partition)
 #   * session_vs_fresh/*                            (200-slot OSCAR e2e,
 #                                                    cold vs session)
@@ -146,8 +145,7 @@ while read -r name base_med; do
             serve_throughput/* | \
             parallel_gibbs_restarts/* | \
             parallel_trial_fanout/* | \
-            csr_pass_ns_per_row/* | \
-            accel_vs_subgradient/*) ;;
+            csr_pass_ns_per_row/*) ;;
         *) continue ;;
     esac
     fresh_med="$(extract "$OUT" | awk -v n="$name" '$1 == n {print $2}')"

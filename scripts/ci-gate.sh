@@ -61,12 +61,6 @@ if [[ "$full" -eq 1 ]]; then
     echo "==> cargo test -q"
     cargo test -q
 
-    # The parallel execution engine: tier-1 core tests again with the
-    # shared pool on, including the bit-identity proptest
-    # (parallel_matches_serial_bit_identical at widths 1/2/4).
-    echo "==> cargo test -q -p qdn_core --features parallel"
-    cargo test -q -p qdn_core --features parallel
-
     # Serve smoke: boot the controller daemon on a Unix socket, replay
     # 64 slots through the load generator, require a clean shutdown and
     # a nonzero decision count in the report.
