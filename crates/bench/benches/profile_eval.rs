@@ -26,7 +26,7 @@
 //! regime needs a topology with isolated regions.)
 //!
 //! The `dual_solver_paper20` group measures the raw `solve_relaxed` cost
-//! on the joint paper-scale instance.
+//! on the joint paper-scale instance at queue prices 10 and 1000.
 //!
 //! The `dynamic_vs_static_partition` group (PR 4) measures the
 //! profile-local dynamic partition against the static candidate-union
@@ -239,7 +239,10 @@ fn full_rebuild_gibbs(
 /// coupling component 10 random pairs form on the 20-node Waxman graph):
 /// `cold_solve` is `solve_relaxed` from λ = 0 on the prebuilt instance —
 /// the pure solver cost of a fresh joint solve, no assembly, no
-/// rounding.
+/// rounding — at queue price q = 10. `cold_solve_q1000` is the same
+/// profile at q = 1000, the backlog the serve workloads run at; there
+/// the instance is feasible at λ = 0 and certifies in one iteration, so
+/// the row times the one-iteration path.
 fn bench_dual_solver(c: &mut Criterion) {
     use qdn_core::route_selection::profile_of;
     use qdn_solve::relaxed::{solve_relaxed, RelaxedOptions};
@@ -259,6 +262,13 @@ fn bench_dual_solver(c: &mut Criterion) {
     group.sample_size(15);
     group.bench_function("cold_solve/10_pairs", |b| {
         b.iter(|| black_box(solve_relaxed(&inst_base, &opts).unwrap()));
+    });
+    let ctx_q1000 = PerSlotContext::oscar(&net, &snap, 2500.0, 1000.0);
+    let inst_q1000 = ctx_q1000
+        .build_instance(&profile_of(&cands, &base))
+        .unwrap();
+    group.bench_function("cold_solve_q1000/10_pairs", |b| {
+        b.iter(|| black_box(solve_relaxed(&inst_q1000, &opts).unwrap()));
     });
     group.finish();
 }

@@ -311,8 +311,8 @@ impl FidelityCache {
 /// Decides one slot: routes and qubit allocations for `req.requests`
 /// under `req.ctx`, using and updating the slot-spanning `state`.
 ///
-/// This is the consolidated facade over [`decide_parts`]; see the
-/// module docs for the pipeline.
+/// This is the consolidated facade over the crate-private
+/// `decide_parts`; see the module docs for the pipeline.
 pub fn decide(state: &mut EngineState, req: SlotDecisionRequest<'_>) -> Decision {
     let (routes, session, fidelity) = state.parts();
     decide_parts(routes, session, fidelity, req)

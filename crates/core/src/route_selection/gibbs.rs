@@ -380,7 +380,7 @@ pub fn sample_seeded(
 /// work-stealing pool ([`threadpool::current`]); results are
 /// **bit-identical** to the serial order at every pool width, because each chain is deterministic
 /// in its seed and chain outcomes are gathered in chain-index order
-/// before the fixed left-to-right [`best_selection`] reduction.
+/// before the fixed left-to-right `best_selection` reduction.
 ///
 /// Returns `None` when every chain fails to find a feasible profile.
 pub fn sample_restarts(

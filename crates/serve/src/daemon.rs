@@ -246,7 +246,7 @@ impl Daemon {
         }
         self.pending.extend(batch);
         Response::SubmitOk {
-            pending: self.pending.len() as u32,
+            pending: u32::try_from(self.pending.len()).unwrap_or(u32::MAX),
         }
     }
 
@@ -326,7 +326,7 @@ impl Daemon {
         Response::StatsOk {
             stats: ServeStats {
                 slot: self.slot,
-                pending: self.pending.len() as u32,
+                pending: u32::try_from(self.pending.len()).unwrap_or(u32::MAX),
                 served: self.served,
                 unserved: self.unserved,
                 spent: self.spent,

@@ -2,12 +2,12 @@
 //! throughput accounting.
 //!
 //! The generator builds the *same* network the daemon built (same
-//! [`NetworkConfig`] + seed → bit-identical topology), instantiates a
-//! [`WorkloadConfig`], and drives one `Submit` + `Tick` round-trip per
-//! slot, timing each tick. The report carries p50/p99 tick latency
-//! (over [`qdn_sim::stats::quantile`]) and decisions per second —
-//! requests decided (served or rejected) per wall-clock second of
-//! driving the daemon.
+//! [`qdn_net::NetworkConfig`] + seed → bit-identical topology),
+//! instantiates a [`WorkloadConfig`], and drives one `Submit` + `Tick`
+//! round-trip per slot, timing each tick. The report carries p50/p99
+//! tick latency (over [`qdn_sim::stats::quantile`]) and decisions per
+//! second — requests decided (served or rejected) per wall-clock second
+//! of driving the daemon.
 
 use std::io::{Read, Write};
 use std::time::Instant;

@@ -1,4 +1,4 @@
-//! Accelerated (Nesterov/FISTA) dual iteration — ROADMAP item (h).
+//! Accelerated (Nesterov/FISTA) dual iteration.
 //!
 //! # Why acceleration applies here
 //!
@@ -36,6 +36,22 @@
 //!   `D(λ⁺) ≤ D(y) + ⟨∇D(y), λ⁺−y⟩ + (L/2)‖λ⁺−y‖²` holds, doubling `L`
 //!   otherwise; on iterations without backtracking `L` decays slightly
 //!   so an early conservative estimate cannot stick.
+//! * **A curvature seed** for `L`. The Hessian of `D` is `A·H·Aᵀ`, with
+//!   `A` the constraint incidence and `H = diag(|∂x*_j/∂price|)`, and
+//!   the λ = 0 evaluation the solver runs anyway leaves `x*(κ)` in its
+//!   buffers. From it the seed takes each variable's slope at price κ
+//!   (closed form from the cached `ln β`; zero when pinned at a bound)
+//!   and returns the Rayleigh quotient of `A·H·Aᵀ` at the all-ones
+//!   vector, `Σ_j h_j·deg_j² / m`: the dual's curvature along `1`, which
+//!   is the mean Gershgorin row sum and never exceeds the largest
+//!   eigenvalue. Starting from a constant `L = 1` instead spent most of
+//!   a solve decaying `L` toward the dual's real curvature, which is far
+//!   below 1 once the queue price has grown. An underestimate costs one
+//!   doubling per factor of two; an overestimate costs about 22 decays
+//!   per factor of ten, so the seed leans low: it averages rather than
+//!   bounds the row sums, and curvature from variables still pinned at
+//!   `ub` is left to backtracking. With every variable pinned the seed
+//!   is `1.0`.
 //! * **Adaptive restart** (O'Donoghue–Candès, function variant): when an
 //!   accepted step increases `D`, the momentum is reset (`t = 1`). On
 //!   duals that are strongly convex near the optimum — the common case
@@ -53,9 +69,9 @@
 //! plain subgradient iterate, by contrast, circles the optimum forever
 //! at `O(1/k)`).
 //!
-//! The loop runs on the CSR evaluation passes in [`crate::relaxed`]
-//! ([`crate::relaxed::dual_value_at`], [`crate::relaxed::residual_pass`],
-//! [`crate::relaxed::consider_primal`]): one price-gather + fused
+//! The loop runs on the crate-private CSR evaluation passes in
+//! [`crate::relaxed`] (`dual_value_at`, `residual_pass`,
+//! `consider_primal`): one price-gather + fused
 //! argmax/dual pass per gradient or function evaluation, a fixed set of
 //! buffers allocated up front, and nothing allocated inside the loop.
 
@@ -126,6 +142,12 @@ pub(crate) fn accelerated_iterate(
             dual_value_at(instance, &cache, &y, &mut price, &mut x)
         };
         residual_pass(instance, &x, &mut g);
+        // At λ₀ = 0 the projected step `max(0, g/L)` is zero for every
+        // `L` unless some constraint is violated, so the curvature seed
+        // is only computed when the first step can move.
+        if k == 1 && g.iter().any(|&gc| gc > 0.0) {
+            l_est = curvature_seed(instance, &cache, &x);
+        }
 
         // Backtracked prox step: λ⁺ = max(0, y + g/L)  (g = −∇D).
         let mut d_new;
@@ -212,11 +234,51 @@ pub(crate) fn accelerated_iterate(
     }
 }
 
+/// The step-size seed: the curvature of the dual along the all-ones
+/// direction at λ = 0, from that point's argmax `x0 = x*(κ)`.
+///
+/// That is the Rayleigh quotient `1ᵀ·A·H·Aᵀ·1 / 1ᵀ1 = Σ_j h_j·deg_j² / m`
+/// of the dual Hessian, with `h_j = |∂x*_j/∂price|` at price κ and
+/// `deg_j` the number of constraints on variable `j`: the mean of the
+/// Gershgorin row sums `Σ_{j∈c} h_j·deg_j`, at most the largest
+/// eigenvalue. Falls back to `1.0` when every variable is pinned at a
+/// bound (all `h_j = 0`).
+fn curvature_seed(instance: &AllocationInstance, cache: &VarCache, x0: &[f64]) -> f64 {
+    let v = instance.v_weight();
+    let kappa = instance.unit_price();
+    let mem_off = &instance.mem_off;
+    let quad: f64 = x0
+        .iter()
+        .enumerate()
+        // A variable pinned at 1 or at `ub` has slope 0 at κ.
+        .filter(|&(j, &xj)| xj > 1.0 && xj < cache.ub_f[j])
+        .map(|(j, _)| {
+            // On the interior segment `x* = ln(ρ/(1+ρ))/ln β` with
+            // `ρ = price/(−V·ln β)`, so `h = 1/(ρ(1+ρ)·V·ln²β)`: no
+            // transcendental beyond the cached `ln β`.
+            let ln_beta = cache.ln_beta[j];
+            let rho = kappa / (-v * ln_beta);
+            let h = 1.0 / (rho * (1.0 + rho) * v * ln_beta * ln_beta);
+            let deg = (mem_off[j + 1] - mem_off[j]) as f64;
+            h * deg * deg
+        })
+        .sum();
+    let seed = quad / instance.num_constraints() as f64;
+    if seed > 0.0 && seed.is_finite() {
+        seed
+    } else {
+        1.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::curvature_seed;
     use crate::instance::{PackingConstraint, Variable};
-    use crate::relaxed::{solve_relaxed, RelaxedOptions};
+    use crate::relaxed::tests::arb_instance;
+    use crate::relaxed::{dual_value_at, residual_pass, solve_relaxed, RelaxedOptions, VarCache};
     use crate::AllocationInstance;
+    use proptest::prelude::*;
 
     fn accel_opts() -> RelaxedOptions {
         RelaxedOptions::default()
@@ -293,5 +355,77 @@ mod tests {
         let a = solve_relaxed(&i, &accel_opts()).unwrap();
         let b = solve_relaxed(&i, &accel_opts()).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// The seed, via the solver's own λ = 0 evaluation, and the dual's
+    /// curvature along the all-ones direction there by forward
+    /// difference: `1ᵀ(g(0) − g(ε·1)) / (ε·m)` with `g = −∇D`. The step
+    /// `ε` moves each price by `ε·deg_j`, about 1e-6 of a qubit in `x*`.
+    fn seed_and_directional_curvature(i: &AllocationInstance) -> (f64, f64) {
+        let m = i.num_constraints();
+        let cache = VarCache::new(i);
+        // The argmax at λ = ℓ·1 and the summed residual `1ᵀg` there.
+        let at = |ell: f64| {
+            let (mut price, mut x) = (vec![0.0; i.num_vars()], vec![0.0; i.num_vars()]);
+            dual_value_at(i, &cache, &vec![ell; m], &mut price, &mut x);
+            let mut g = vec![0.0; m];
+            residual_pass(i, &x, &mut g);
+            (x, g.iter().sum::<f64>())
+        };
+        let (x0, g0) = at(0.0);
+        let seed = curvature_seed(i, &cache, &x0);
+        let eps = 1e-6 / (seed * m as f64);
+        let fd = (g0 - at(eps).1) / (eps * m as f64);
+        (seed, fd)
+    }
+
+    #[test]
+    fn zero_price_seed_falls_back_and_certifies() {
+        // κ = 0: every argmax is pinned at ub, so every slope is 0.
+        let i = inst(&[0.6, 0.6], &[(40, &[0, 1])], 50.0, 0.0);
+        assert_eq!(seed_and_directional_curvature(&i).0, 1.0);
+        let s = solve_relaxed(&i, &accel_opts()).unwrap();
+        assert!(s.converged, "gap {}", s.relative_gap());
+        assert!(s.relative_gap() <= 1e-4 + 1e-12);
+        // Coupled and tight at κ = 0, so the solve really iterates.
+        let i = inst(
+            &[0.3, 0.5, 0.7],
+            &[(12, &[0, 1, 2]), (5, &[0, 1])],
+            2500.0,
+            0.0,
+        );
+        assert_eq!(seed_and_directional_curvature(&i).0, 1.0);
+        let s = solve_relaxed(&i, &accel_opts()).unwrap();
+        assert!(s.converged, "gap {}", s.relative_gap());
+        assert!(s.iterations > 1);
+        assert!(i.is_feasible_real(&s.x, 1e-6));
+    }
+
+    #[test]
+    fn all_pinned_at_one_seed_falls_back_and_certifies() {
+        let i = inst(&[0.55, 0.55, 0.4], &[(10, &[0, 1]), (4, &[1, 2])], 1.0, 1e6);
+        let (seed, fd) = seed_and_directional_curvature(&i);
+        assert_eq!(seed, 1.0);
+        assert_eq!(fd, 0.0);
+        let s = solve_relaxed(&i, &accel_opts()).unwrap();
+        assert!(s.converged, "gap {}", s.relative_gap());
+        assert!(s.x.iter().all(|&x| x == 1.0), "{:?}", s.x);
+    }
+
+    proptest! {
+        /// The closed-form seed is the dual's curvature along the
+        /// all-ones direction at λ = 0 (or the `1.0` fallback where that
+        /// curvature is zero), and the seeded solve certifies.
+        #[test]
+        fn seed_is_curvature_along_ones(i in arb_instance()) {
+            let (seed, fd) = seed_and_directional_curvature(&i);
+            if fd == 0.0 {
+                prop_assert_eq!(seed, 1.0);
+            } else {
+                prop_assert!((fd - seed).abs() <= 1e-4 * seed, "seed {} vs fd {}", seed, fd);
+            }
+            let s = solve_relaxed(&i, &accel_opts()).unwrap();
+            prop_assert!(s.converged, "gap {}", s.relative_gap());
+        }
     }
 }

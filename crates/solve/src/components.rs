@@ -156,7 +156,7 @@ impl AllocationInstance {
 
     /// [`AllocationInstance::sub_instance`] into recycled storage: the
     /// component's CSR arrays are written directly into `husk`'s buffers
-    /// (no intermediate [`PackingConstraint`] member `Vec`s, no
+    /// (no intermediate [`crate::PackingConstraint`] member `Vec`s, no
     /// allocations once `husk` and `local_index` have grown to size) and
     /// validated by the same shared `finalize` pass every constructor
     /// ends in. `local_index` is caller-owned scratch (resized to the

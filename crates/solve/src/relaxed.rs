@@ -28,8 +28,8 @@
 //! condition as `−ln(1+ρ)` — no `exp`/`ln` pair per variable per
 //! iteration), and the repair/objective passes reuse per-solve buffers.
 //! A solve allocates a fixed number of vectors up front and nothing
-//! inside the loop. The shared passes live here ([`VarCache`],
-//! [`dual_value_at`], [`residual_pass`], [`consider_primal`]).
+//! inside the loop. The shared crate-private passes live here
+//! (`VarCache`, `dual_value_at`, `residual_pass`, `consider_primal`).
 
 use serde::{Deserialize, Serialize};
 use wide::f64x4;
@@ -446,7 +446,7 @@ pub mod bench_hooks {
     use super::{AllocationInstance, VarCache};
 
     /// Opaque per-solve constant cache (wraps the crate-private
-    /// [`VarCache`]).
+    /// `VarCache`).
     pub struct Cache(VarCache);
 
     pub fn cache(instance: &AllocationInstance) -> Cache {
@@ -469,7 +469,7 @@ pub mod bench_hooks {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::instance::{PackingConstraint, Variable};
     use proptest::prelude::*;
@@ -567,7 +567,7 @@ mod tests {
 
     /// Strategy: a feasible random instance with 1..5 variables and 1..4
     /// overlapping packing constraints.
-    fn arb_instance() -> impl Strategy<Value = AllocationInstance> {
+    pub(crate) fn arb_instance() -> impl Strategy<Value = AllocationInstance> {
         (1usize..5).prop_flat_map(|nv| {
             let vars = proptest::collection::vec(0.05f64..0.95, nv);
             let cons = proptest::collection::vec(

@@ -5,7 +5,7 @@
 # Run before pushing any change (especially perf refactors, which tend to
 # accumulate lint debt):
 #
-#     ./scripts/ci-gate.sh                  # lint + fmt only (fast)
+#     ./scripts/ci-gate.sh                  # fmt + clippy + rustdoc + lint (fast)
 #     ./scripts/ci-gate.sh --full           # also build + tier-1 tests
 #     ./scripts/ci-gate.sh --full --bench   # also the bench regression
 #                                           # gate (scripts/bench-gate.sh)
@@ -51,6 +51,14 @@ cargo clippy --workspace \
     --exclude rand --exclude proptest --exclude criterion \
     --exclude threadpool --exclude wide \
     --all-targets -- -D warnings
+
+# Rustdoc must be warning-free (broken or private intra-doc links),
+# with the same shim exclusions as clippy.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
+    --exclude serde --exclude serde_derive --exclude serde_json \
+    --exclude rand --exclude proptest --exclude criterion \
+    --exclude threadpool --exclude wide
 
 echo "==> qdn-lint --report target/lint-report.json"
 cargo run -q -p qdn_lint --bin qdn-lint -- --report target/lint-report.json

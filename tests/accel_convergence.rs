@@ -72,3 +72,47 @@ fn accelerated_certifies_strict_gap_at_paper_scale() {
         assert!(inst.is_feasible_real(&accel.x, 1e-6));
     }
 }
+
+/// Iteration-count guard for the FISTA step-size seed. The corpus is the
+/// two joint paper-scale instances above at queue prices
+/// κ ∈ {10, 100, 1000}; iteration counts are deterministic.
+///
+/// Totals: 153 with the constant `L = 1` start (per instance 38, 41,
+/// 32, 40, 1, 1) and 89 = 0.58× with the curvature seed (30, 30, 15,
+/// 12, 1, 1). At κ = 1000 both instances are feasible at λ = 0 and
+/// certify in one iteration; at κ = 10 the curvature at the optimum sits
+/// far below its λ = 0 value, so a seed taken at λ = 0 gains least
+/// there.
+#[test]
+fn curvature_seed_cuts_iterations_on_paper_corpus() {
+    const CONSTANT_START_TOTAL: usize = 153;
+    let mut rng = StdRng::seed_from_u64(3);
+    let net = NetworkConfig::paper_default().build(&mut rng).unwrap();
+    let snap = CapacitySnapshot::full(&net);
+    let owned = paper_candidates(&net, 10, 11);
+    let cands: Vec<Candidates> = owned
+        .iter()
+        .map(|(pair, routes)| Candidates {
+            pair: *pair,
+            routes,
+        })
+        .collect();
+    let mut total = 0;
+    for kappa in [10.0, 100.0, 1000.0] {
+        let ctx = PerSlotContext::oscar(&net, &snap, 2500.0, kappa);
+        for profile_idx in 0..2usize {
+            let indices: Vec<usize> = cands
+                .iter()
+                .map(|c| profile_idx.min(c.routes.len() - 1))
+                .collect();
+            let inst = ctx.build_instance(&profile_of(&cands, &indices)).unwrap();
+            let s = solve_relaxed(&inst, &RelaxedOptions::default()).unwrap();
+            assert!(s.converged, "κ {kappa} profile {profile_idx}");
+            total += s.iterations;
+        }
+    }
+    assert!(
+        total * 10 <= CONSTANT_START_TOTAL * 7,
+        "{total} iterations, more than 0.7 × {CONSTANT_START_TOTAL}"
+    );
+}
