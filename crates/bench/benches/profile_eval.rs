@@ -29,9 +29,9 @@
 //! on the joint paper-scale instance at queue prices 10 and 1000.
 //!
 //! The `dynamic_vs_static_partition` group (PR 4) measures the
-//! profile-local dynamic partition against the static candidate-union
-//! engine on cold single-pair moves — see [`bench_dynamic_vs_static`]
-//! for the two scenarios and what each one demonstrates. The
+//! profile-local dynamic partition on cold single-pair moves — see
+//! [`bench_dynamic_partition`] for the two scenarios and what each one
+//! demonstrates. The
 //! `profile_eval_wax50` group runs the standard access patterns at
 //! `Scale::Large` (50-node Waxman, 25 pairs). The `churn_recovery`
 //! group (PR 6) measures region-scoped vs global session invalidation
@@ -45,7 +45,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdn_core::allocation::AllocationMethod;
 use qdn_core::problem::PerSlotContext;
-use qdn_core::profile_eval::{EvalOptions, PartitionMode, ProfileEvaluator};
+use qdn_core::profile_eval::{EvalOptions, ProfileEvaluator};
 use qdn_core::route_selection::{gibbs, Candidates, GibbsConfig};
 use qdn_graph::Path;
 use qdn_net::routes::{CandidateRoutes, RouteLimits};
@@ -316,31 +316,27 @@ fn corridor_ring(k: usize) -> (QdnNetwork, Vec<SdPair>) {
     (b.build(), pairs)
 }
 
-/// The PR-4 headline: single-pair-move *cold* evaluation (level-1 memo
-/// miss) under the static candidate-union partition vs the dynamic
-/// route-keyed refinement, on two paper-scale (10-pair) workloads:
+/// Single-pair-move *cold* evaluation (level-1 memo miss) under the
+/// dynamic route-keyed partition, on two paper-scale (10-pair)
+/// workloads:
 ///
 /// * `…/10_pairs` — 10 random pairs on the paper's 20-node Waxman
-///   graph. Measured reality: at this density the *selected* routes of
-///   a profile chain into one connected group for ~97% of moves, so
-///   the dynamic partition can only match the static engine (bit-exact
-///   components are pinned by the joint solve) — the row documents
-///   parity/no-regression in the fully-coupled regime.
+///   graph. At this density the *selected* routes of a profile chain
+///   into one connected group for ~97% of moves, so most moves re-solve
+///   the whole static component — the fully-coupled regime.
 /// * `…/10_pairs_ring` — 10 pairs on the [`corridor_ring`], where the
 ///   candidate closure is one 10-pair static component but concrete
 ///   profiles couple locally (groups of 1–4). This is the regime the
-///   route-keyed refinement targets (QuARC-style profile locality):
-///   the static engine re-solves all 10 pairs per move, the dynamic
-///   engine re-solves only the groups the move touched — most moves
-///   are served entirely from the level-2 group memo. The
-///   `dynamic` vs `static` row ratio here is the gated ≥3× acceptance
-///   evidence.
+///   route-keyed refinement targets (QuARC-style profile locality): a
+///   move re-solves only the groups it touched, and most moves are
+///   served entirely from the level-2 group memo.
 ///
 /// Each iteration moves one random pair to a random route, so (in both
 /// scenarios' route spaces) virtually every evaluation is a fresh
-/// component tuple. Both modes are bit-identical in results
-/// (`dynamic_matches_static_partition` proptest).
-fn bench_dynamic_vs_static(c: &mut Criterion) {
+/// component tuple. The group and row names predate the removal of the
+/// static-only engine; they are kept so the rows keep their committed
+/// baselines.
+fn bench_dynamic_partition(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let waxman = NetworkConfig::paper_default().build(&mut rng).unwrap();
     let mut pairs_rng = StdRng::seed_from_u64(11);
@@ -366,33 +362,23 @@ fn bench_dynamic_vs_static(c: &mut Criterion) {
         let snap = CapacitySnapshot::full(net);
         let ctx = PerSlotContext::oscar(net, &snap, 2500.0, 10.0);
         let method = AllocationMethod::default();
-        for (label, options) in [
-            (
-                "static",
-                EvalOptions {
-                    partition: PartitionMode::Static,
-                    warm_profile_seed: false,
-                },
-            ),
-            ("dynamic", EvalOptions::default()),
-        ] {
-            if scenario == "10_pairs_ring" {
-                // The motivating shape: candidate union = one component.
-                let probe = ProfileEvaluator::new(&ctx, &cands, &method, options);
-                assert_eq!(probe.component_count(), 1, "ring must chain statically");
-            }
-            group.bench_function(format!("cold_move_{label}/{scenario}"), |b| {
-                let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, options);
-                let mut indices: Vec<usize> = vec![0; cands.len()];
-                eval.evaluate_objective(&indices);
-                let mut walk_rng = StdRng::seed_from_u64(29);
-                b.iter(|| {
-                    let i = walk_rng.random_range(0..indices.len());
-                    indices[i] = walk_rng.random_range(0..cands[i].routes.len());
-                    black_box(eval.evaluate_objective_move(&indices, i))
-                });
-            });
+        let options = EvalOptions::default();
+        if scenario == "10_pairs_ring" {
+            // The motivating shape: candidate union = one component.
+            let probe = ProfileEvaluator::new(&ctx, &cands, &method, options);
+            assert_eq!(probe.component_count(), 1, "ring must chain statically");
         }
+        group.bench_function(format!("cold_move_dynamic/{scenario}"), |b| {
+            let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, options);
+            let mut indices: Vec<usize> = vec![0; cands.len()];
+            eval.evaluate_objective(&indices);
+            let mut walk_rng = StdRng::seed_from_u64(29);
+            b.iter(|| {
+                let i = walk_rng.random_range(0..indices.len());
+                indices[i] = walk_rng.random_range(0..cands[i].routes.len());
+                black_box(eval.evaluate_objective(&indices))
+            });
+        });
     }
     group.finish();
 }
@@ -1075,7 +1061,7 @@ fn bench(c: &mut Criterion) {
     // saturation.
     bench_diamond_field(c, 25);
 
-    bench_dynamic_vs_static(c);
+    bench_dynamic_partition(c);
     bench_session_vs_fresh(c);
     bench_churn_recovery(c);
     bench_node_churn_recovery(c);

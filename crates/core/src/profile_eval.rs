@@ -26,10 +26,9 @@
 //! coarsest partition that is valid for *every* profile, so everything
 //! below it can never leak coupling across static components.
 //!
-//! **Dynamic refinement** ([`PartitionMode::Dynamic`], the default).
-//! Within each static component, the *currently selected* routes of a
-//! profile usually touch far fewer shared nodes than the candidate
-//! union: at paper scale (20-node Waxman, 10 pairs) the static closure
+//! **Dynamic refinement.** Within each static component, the
+//! *currently selected* routes of a profile usually touch far fewer
+//! shared nodes than the candidate union: at paper scale (20-node Waxman, 10 pairs) the static closure
 //! collapses into one 10-pair component, while a concrete profile
 //! typically splits into several 2–4-pair groups. The evaluator
 //! therefore re-partitions each static component by the node sharing of
@@ -44,6 +43,11 @@
 //! its new route touches; [`EvalStats::component_merges`] /
 //! [`EvalStats::component_splits`] count exactly those transitions
 //! (relative to the last profile whose partition was computed).
+//!
+//! Refinement is the only evaluation path; it is skipped exactly where
+//! it cannot split anything — singleton components and budgeted slots,
+//! whose budget row keeps every pair in one group — and those
+//! components are solved whole.
 //!
 //! # The two memo levels
 //!
@@ -66,8 +70,7 @@
 //! # Bit-identical results
 //!
 //! The evaluator returns *exactly* the objective and allocations of the
-//! full-rebuild path — under **either** partition mode — bit for bit.
-//! Three invariants make this hold:
+//! full-rebuild path, bit for bit. Three invariants make this hold:
 //!
 //! 1. [`PerSlotContext::build_instance`] and the evaluator stream through
 //!    the same [`RouteAssembler`] layout (variables in profile order,
@@ -87,26 +90,16 @@
 //!    uses, rather than by summing cached per-component objectives (which
 //!    would associate the additions differently).
 //!
-//! The property tests `incremental_matches_full_rebuild` and
-//! `dynamic_matches_static_partition` in `crates/core/tests/proptests.rs`
-//! enforce these equivalences on random topologies, profiles, and move
-//! sequences for every allocation method.
+//! The property test `incremental_matches_full_rebuild` in
+//! `crates/core/tests/proptests.rs` enforces this equivalence on random
+//! topologies, profiles, single-pair moves and multi-pair jumps for
+//! every allocation method.
 //!
-//! # Move hooks
-//!
-//! [`ProfileEvaluator::evaluate_objective_move`] and
-//! [`ProfileEvaluator::evaluate_move`] are the selector-facing way to
-//! declare which pair a proposal moved. The hint is *advisory and
-//! currently unused beyond a bounds check*: a rejected Gibbs proposal
-//! means the next call differs from the evaluator's last-seen profile
-//! in *two* pairs (the revert plus the new proposal), so a declared
-//! move can never be trusted blindly — the evaluator instead verifies
-//! every static component's route tuple itself, which costs one slice
-//! compare per component and makes the hint redundant for correctness
-//! and for the stats (both entry points behave identically). The hooks
-//! exist so the selectors express single-pair-move intent at the call
-//! site and so a future incremental partition maintainer has its entry
-//! points in place without another selector-surface change.
+//! Callers never say which pair a proposal moved: a rejected Gibbs
+//! proposal means the next call differs from the last-seen profile in
+//! *two* pairs (the revert plus the new proposal), so the evaluator
+//! compares every static component's route tuple itself — one slice
+//! compare per component.
 //!
 //! # Persistent selection sessions
 //!
@@ -139,14 +132,14 @@
 //!
 //! # Parallelism
 //!
-//! Unsolved work items of one evaluation — dynamic groups, or whole
-//! components where the partition does not refine — are solved on the
-//! shared work-stealing pool ([`threadpool::current`]); at width 1 the
-//! pool runs them inline. Results are inserted into the memos after the
-//! join in item order, so the outcome is bit-identical at every pool
-//! width; when an item reports infeasibility the remaining tasks stop
-//! early (matching the in-order loop's short-circuit). Multi-chain Gibbs
-//! restarts use the same pool — see
+//! One evaluation runs on the calling thread: `ensure_components` walks
+//! the static components in order and solves each missing one — whole,
+//! or group by group — stopping at the first infeasible one. A single
+//! Gibbs move usually leaves one or two groups to solve, and fanning
+//! the missing solves out to the pool measured neutral on every
+//! benchmark workload. Parallelism sits one level up: multi-chain Gibbs
+//! restarts run one evaluator per chain on the shared work-stealing
+//! pool — see
 //! [`crate::route_selection::gibbs::sample_restarts`].
 
 use std::collections::HashMap;
@@ -162,32 +155,15 @@ use crate::allocation::AllocationMethod;
 use crate::problem::{assemble_instance, PerSlotContext, ProfileEvaluation};
 use crate::route_selection::Candidates;
 
-/// Which coupling partition drives memoization and sub-instance solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PartitionMode {
-    /// The candidate-union closure only: one sub-instance per static
-    /// component (the pre-PR-4 engine). Kept as the reference
-    /// implementation and for workloads whose selected routes almost
-    /// always coincide with the candidate closure.
-    Static,
-    /// Refine each static component by the *currently selected* routes
-    /// (the default): single-pair moves re-solve only the dynamic
-    /// groups the move actually touches. Bit-identical to `Static`.
-    Dynamic,
-}
-
 /// Selector-facing evaluator options, carried by every route-selection
 /// config that drives a [`ProfileEvaluator`].
 ///
-/// **Loud compat breaks:** `partition` (PR 4) and `warm_profile_seed`
-/// (PR 5) are required fields — old JSON configs fail with an explicit
-/// missing-field error. See MIGRATION.md for the one-line edits.
+/// **Loud compat break:** `warm_profile_seed` (PR 5) is a required
+/// field — old JSON configs fail with an explicit missing-field error.
+/// A stale `partition` key is ignored. See MIGRATION.md for the
+/// one-line edits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EvalOptions {
-    /// The coupling partition to evaluate under. Results are
-    /// bit-identical either way; the mode only changes how much work a
-    /// fresh (non-memoized) evaluation performs.
-    pub partition: PartitionMode,
     /// Seed the selector's starting profile from the previous slot's
     /// selected routes when a [`SelectorSession`] carries them (pairs
     /// present in consecutive slots start on last slot's route; new
@@ -199,43 +175,19 @@ pub struct EvalOptions {
 }
 
 impl EvalOptions {
-    /// Dynamic route-keyed partitioning, no cross-slot profile seeding —
-    /// the default, spelled out so callers building the struct by hand
-    /// can say what they mean instead of `..Default::default()`.
-    pub fn dynamic() -> Self {
-        EvalOptions::default()
-    }
-
-    /// The static-envelope-only engine (pre-PR-4 behavior); alias of
-    /// [`EvalOptions::static_partition`] matching the
-    /// [`EvalOptions::dynamic`] naming.
-    pub fn static_() -> Self {
-        Self::static_partition()
-    }
-
-    /// The static-envelope-only engine (pre-PR-4 behavior).
-    pub fn static_partition() -> Self {
-        EvalOptions {
-            partition: PartitionMode::Static,
-            warm_profile_seed: false,
-        }
-    }
-
     /// The default options with cross-slot profile seeding enabled.
     pub fn warm_seeded() -> Self {
         EvalOptions {
             warm_profile_seed: true,
-            ..EvalOptions::default()
         }
     }
 }
 
 impl Default for EvalOptions {
-    /// Dynamic partitioning, no cross-slot profile seeding — the
-    /// fresh-per-slot-identical configuration.
+    /// No cross-slot profile seeding — the fresh-per-slot-identical
+    /// configuration.
     fn default() -> Self {
         EvalOptions {
-            partition: PartitionMode::Dynamic,
             warm_profile_seed: false,
         }
     }
@@ -260,7 +212,7 @@ struct EdgeVar {
     p: f64,
 }
 
-/// Scratch for the dynamic sub-partition refresh (main thread only).
+/// Scratch for the dynamic sub-partition refresh.
 #[derive(Debug)]
 struct PartitionScratch {
     /// Node → member position of the route that last touched it,
@@ -1000,7 +952,7 @@ impl SelectorSession {
 }
 
 /// Version tag of [`SessionSnapshot`]; bump on layout changes.
-pub const SESSION_SNAPSHOT_VERSION: u32 = 2;
+pub const SESSION_SNAPSHOT_VERSION: u32 = 3;
 
 /// Serializable image of a [`SelectorSession`] (see
 /// [`SelectorSession::snapshot`]). Entry order is canonical (sorted by
@@ -1074,8 +1026,8 @@ pub struct EvalStats {
     pub components_solved: u64,
     /// Gauge: dynamic components across the whole profile, as of the
     /// last partition refresh. Static components whose sub-partition has
-    /// not been computed yet (including all of them under
-    /// [`PartitionMode::Static`]) count as one each.
+    /// not been computed yet (including singletons and every component
+    /// of a budgeted slot, which are never refined) count as one each.
     pub dynamic_components: u64,
     /// Dynamic groups that merged: each recomputed sub-partition adds,
     /// per new group, the number of distinct previous groups it spans
@@ -1159,9 +1111,8 @@ impl<'a> ProfileEvaluator<'a> {
     /// Builds the evaluator for one slot: resolves candidate routes
     /// against the network, partitions pairs into static coupling
     /// components, and sizes the scratch buffers. The dynamic
-    /// sub-partitions (when `options.partition` is
-    /// [`PartitionMode::Dynamic`]) are computed lazily, per component,
-    /// on the first evaluation that needs them.
+    /// sub-partitions are computed lazily, per component, on the first
+    /// evaluation that needs them.
     pub fn new(
         ctx: &PerSlotContext<'a>,
         candidates: &[Candidates<'_>],
@@ -1397,17 +1348,6 @@ impl<'a> ProfileEvaluator<'a> {
         Some(self.accumulate_objective(indices, None))
     }
 
-    /// [`ProfileEvaluator::evaluate_objective`] with a declared
-    /// single-pair move: the caller changed pair `moved` relative to its
-    /// previous profile. The hint is advisory and currently unused
-    /// beyond a bounds check — see the module docs ("Move hooks") for
-    /// why it cannot be trusted (rejected-proposal reverts) and what
-    /// the entry point is for.
-    pub fn evaluate_objective_move(&mut self, indices: &[usize], moved: usize) -> Option<f64> {
-        debug_assert!(moved < self.pairs.len());
-        self.evaluate_objective(indices)
-    }
-
     /// Fully evaluates the profile `indices`, returning per-route
     /// allocations plus the objective. Returns `None` when infeasible.
     ///
@@ -1429,13 +1369,6 @@ impl<'a> ProfileEvaluator<'a> {
             allocations,
             objective,
         })
-    }
-
-    /// [`ProfileEvaluator::evaluate`] with a declared single-pair move
-    /// (see [`ProfileEvaluator::evaluate_objective_move`]).
-    pub fn evaluate_move(&mut self, indices: &[usize], moved: usize) -> Option<ProfileEvaluation> {
-        debug_assert!(moved < self.pairs.len());
-        self.evaluate(indices)
     }
 
     /// Objective of pair `i` served alone with candidate `route_idx`
@@ -1477,9 +1410,7 @@ impl<'a> ProfileEvaluator<'a> {
     /// refresh machinery entirely instead of recomputing a
     /// known-trivial partition on every cold move.
     fn use_dynamic(&self, comp: usize) -> bool {
-        self.options.partition == PartitionMode::Dynamic
-            && self.budget.is_none()
-            && self.comp_pairs[comp].len() > 1
+        self.budget.is_none() && self.comp_pairs[comp].len() > 1
     }
 
     /// Recomputes component `comp`'s dynamic sub-partition for the route
@@ -1580,22 +1511,13 @@ impl<'a> ProfileEvaluator<'a> {
                 .extend(comp_pairs.iter().map(|&i| indices[i] as u32));
         }
 
-        // Components the pool pre-pass solved this call (ascending); they
-        // must not count as memo hits below.
-        let (fresh, pool_infeasible) = self.solve_missing_pooled(indices);
-        if pool_infeasible {
-            return None;
-        }
-
         for comp in 0..self.comp_pairs.len() {
             let key = &self.scratch.joint_key[self.comp_key_off[comp]..self.comp_key_off[comp + 1]];
             if let Some(entry) = self.memos[comp]
                 .get(key)
                 .filter(|e| e.epoch == self.epochs[comp])
             {
-                if fresh.binary_search(&comp).is_err() {
-                    self.stats.memo_hits += 1;
-                }
+                self.stats.memo_hits += 1;
                 entry.alloc.as_ref()?;
                 continue;
             }
@@ -1764,150 +1686,6 @@ impl<'a> ProfileEvaluator<'a> {
                 alloc: Some(gathered.as_slice().into()),
             },
         );
-    }
-
-    /// Pre-solves all missing work items of `indices` — dynamic groups,
-    /// or whole components where the partition does not refine — on the
-    /// shared work-stealing pool ([`threadpool::current`]), and returns
-    /// the component ids it fully memoized at level 1 (ascending) plus
-    /// whether any item turned out infeasible. Bit-identical at every
-    /// pool width: each item's solve is independent and results are
-    /// gathered and merged in item order. Each worker thread keeps one
-    /// recycled solver scratch across items *and across calls*
-    /// (thread-local), so the steady state allocates nothing
-    /// network-sized. An infeasibility observed by any task stops the
-    /// remaining solves early: skipped items are simply not memoized,
-    /// matching the in-order loop's short-circuit.
-    fn solve_missing_pooled(&mut self, indices: &[usize]) -> (Vec<usize>, bool) {
-        use std::cell::RefCell;
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        /// Sentinel group id for "solve the whole component".
-        const WHOLE: u32 = u32::MAX;
-
-        std::thread_local! {
-            /// Per-worker (scratch, members) recycled across pool tasks.
-            static WORKER_SCRATCH: RefCell<(Option<Scratch>, Vec<usize>)> =
-                const { RefCell::new((None, Vec::new())) };
-        }
-
-        let mut items: Vec<(usize, u32)> = Vec::new();
-        for comp in 0..self.comp_pairs.len() {
-            let off = self.comp_key_off[comp];
-            let end = self.comp_key_off[comp + 1];
-            if self.memos[comp]
-                .get(&self.scratch.joint_key[off..end])
-                .is_some_and(|e| e.epoch == self.epochs[comp])
-            {
-                continue;
-            }
-            if self.use_dynamic(comp) {
-                self.refresh_partition(comp);
-                if self.dyn_group_count[comp] > 1 {
-                    for g in 0..self.dyn_group_count[comp] {
-                        self.group_key.clear();
-                        for pos in 0..(end - off) {
-                            if self.dyn_group_of[off + pos] == g {
-                                self.group_key.push(pos as u32);
-                                self.group_key.push(self.scratch.joint_key[off + pos]);
-                            }
-                        }
-                        if self.dyn_memos[comp]
-                            .get(self.group_key.as_slice())
-                            .is_none_or(|e| e.epoch != self.epochs[comp])
-                        {
-                            items.push((comp, g));
-                        }
-                    }
-                    continue;
-                }
-            }
-            items.push((comp, WHOLE));
-        }
-        if items.len() < 2 {
-            return (Vec::new(), false);
-        }
-        let ctx = self.ctx;
-        let budget = self.budget;
-        let method = self.method;
-        let routes = &self.routes;
-        let comp_pairs = &self.comp_pairs;
-        let comp_key_off = &self.comp_key_off;
-        let dyn_group_of = &self.dyn_group_of;
-        let infeasible = AtomicBool::new(false);
-        type ItemSolve = (usize, u32, usize, Option<Box<[u32]>>);
-        // One pool task per item, gathered in item order by
-        // `map_indexed`; a task that observes the infeasibility flag
-        // returns `None` (its item stays unmemoized).
-        let results: Vec<Option<ItemSolve>> =
-            threadpool::current().map_indexed(items.len(), |item_idx| {
-                if infeasible.load(Ordering::Relaxed) {
-                    return None;
-                }
-                let (comp, g) = items[item_idx];
-                WORKER_SCRATCH.with(|cell| {
-                    let mut state = cell.borrow_mut();
-                    let (slot, members) = &mut *state;
-                    let mut scratch = Scratch::recycled(
-                        slot.take(),
-                        ctx.network.node_count(),
-                        ctx.network.edge_count(),
-                        0,
-                    );
-                    let off = comp_key_off[comp];
-                    members.clear();
-                    for (pos, &pair) in comp_pairs[comp].iter().enumerate() {
-                        if g == WHOLE || dyn_group_of[off + pos] == g {
-                            members.push(pair);
-                        }
-                    }
-                    let alloc = solve_component(
-                        &mut scratch,
-                        &ctx,
-                        budget,
-                        &method,
-                        routes,
-                        members,
-                        indices,
-                    );
-                    if alloc.is_none() {
-                        infeasible.store(true, Ordering::Relaxed);
-                    }
-                    let n_pairs = members.len();
-                    *slot = Some(scratch);
-                    Some((comp, g, n_pairs, alloc))
-                })
-            });
-        let any_infeasible = infeasible.into_inner();
-        let mut fresh = Vec::new();
-        for (comp, g, n_pairs, alloc) in results.into_iter().flatten() {
-            self.stats.components_solved += 1;
-            self.stats.pairs_resolved_last_move += n_pairs as u64;
-            let off = self.comp_key_off[comp];
-            let end = self.comp_key_off[comp + 1];
-            let entry = MemoEntry {
-                epoch: self.epochs[comp],
-                alloc,
-            };
-            if g == WHOLE {
-                let key: Box<[u32]> = self.scratch.joint_key[off..end].into();
-                self.memos[comp].insert(key, entry);
-                fresh.push(comp);
-            } else {
-                self.group_key.clear();
-                for pos in 0..(end - off) {
-                    if self.dyn_group_of[off + pos] == g {
-                        self.group_key.push(pos as u32);
-                        self.group_key.push(self.scratch.joint_key[off + pos]);
-                    }
-                }
-                self.dyn_memos[comp].insert(self.group_key.as_slice().into(), entry);
-                // The in-order loop's level-1 miss path gathers the
-                // groups (all level-2 hits by then) into the level-1 entry.
-            }
-        }
-        fresh.sort_unstable();
-        (fresh, any_infeasible)
     }
 
     /// Gathers the memoized component allocations in joint variable order
@@ -2140,7 +1918,7 @@ mod tests {
         assert_eq!(eval.component_count(), 2);
         assert!(eval.pair_is_isolated(0));
         assert!(eval.pair_is_isolated(1));
-        assert_eq!(eval.options().partition, PartitionMode::Dynamic);
+        assert_eq!(eval.options(), EvalOptions::default());
     }
 
     #[test]
@@ -2211,45 +1989,39 @@ mod tests {
                 AllocationMethod::Greedy,
                 AllocationMethod::Minimal,
             ] {
-                for partition in [PartitionMode::Static, PartitionMode::Dynamic] {
-                    let options = EvalOptions {
-                        partition,
-                        warm_profile_seed: false,
-                    };
-                    let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, options);
-                    // Every profile in the (small) product space.
-                    let radix: Vec<usize> = cands.iter().map(|c| c.routes.len()).collect();
-                    let mut indices = vec![0usize; cands.len()];
-                    'product_space: loop {
-                        let profile = profile_of(&cands, &indices);
-                        let reference = ctx.evaluate(&profile, &method);
-                        let incremental = eval.evaluate(&indices);
-                        match (&reference, &incremental) {
-                            (None, None) => {}
-                            (Some(r), Some(x)) => {
-                                assert_eq!(r.objective.to_bits(), x.objective.to_bits());
-                                assert_eq!(r.allocations, x.allocations);
-                            }
-                            _ => panic!("feasibility mismatch at {indices:?} ({partition:?})"),
+                let mut eval = ProfileEvaluator::new(&ctx, &cands, &method, EvalOptions::default());
+                // Every profile in the (small) product space.
+                let radix: Vec<usize> = cands.iter().map(|c| c.routes.len()).collect();
+                let mut indices = vec![0usize; cands.len()];
+                'product_space: loop {
+                    let profile = profile_of(&cands, &indices);
+                    let reference = ctx.evaluate(&profile, &method);
+                    let incremental = eval.evaluate(&indices);
+                    match (&reference, &incremental) {
+                        (None, None) => {}
+                        (Some(r), Some(x)) => {
+                            assert_eq!(r.objective.to_bits(), x.objective.to_bits());
+                            assert_eq!(r.allocations, x.allocations);
                         }
-                        assert_eq!(
-                            ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
-                            eval.evaluate_objective(&indices).map(f64::to_bits)
-                        );
-                        let mut pos = 0;
-                        loop {
-                            if pos == indices.len() {
-                                // Odometer wrapped: this combination is
-                                // exhausted; move on to the next one.
-                                break 'product_space;
-                            }
-                            indices[pos] += 1;
-                            if indices[pos] < radix[pos] {
-                                break;
-                            }
-                            indices[pos] = 0;
-                            pos += 1;
+                        _ => panic!("feasibility mismatch at {indices:?}"),
+                    }
+                    assert_eq!(
+                        ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
+                        eval.evaluate_objective(&indices).map(f64::to_bits)
+                    );
+                    let mut pos = 0;
+                    loop {
+                        if pos == indices.len() {
+                            // Odometer wrapped: this combination is
+                            // exhausted; move on to the next one.
+                            break 'product_space;
                         }
+                        indices[pos] += 1;
+                        if indices[pos] < radix[pos] {
+                            break;
+                        }
+                        indices[pos] = 0;
+                        pos += 1;
                     }
                 }
             }
@@ -2281,7 +2053,7 @@ mod tests {
         assert!(eval.stats().memo_hits >= 2);
         assert_eq!(eval.stats().pairs_resolved_last_move, 0);
         // Moving only pair 1 must not re-solve pair 0's component.
-        eval.evaluate_objective_move(&[0, 1], 1);
+        eval.evaluate_objective(&[0, 1]);
         assert_eq!(eval.stats().components_solved, solved_once + 1);
         assert_eq!(eval.stats().pairs_resolved_last_move, 1);
     }
@@ -2338,7 +2110,7 @@ mod tests {
         // Move C to corridor B: {A,C},{B} → {A},{B,C} — one split (C
         // leaves A's group), one merge (C joins B's), and every group
         // key is new, so all three pairs re-solve.
-        eval.evaluate_objective_move(&[0, 0, via_b], 2).unwrap();
+        eval.evaluate_objective(&[0, 0, via_b]).unwrap();
         let s = eval.stats();
         assert_eq!(s.dynamic_components, 2);
         assert_eq!((s.component_merges, s.component_splits), (1, 1));
@@ -2347,31 +2119,22 @@ mod tests {
 
         // Move back: the tuple was seen → level-1 hit, no partition
         // churn, nothing re-solved.
-        eval.evaluate_objective_move(&[0, 0, via_a], 2).unwrap();
+        eval.evaluate_objective(&[0, 0, via_a]).unwrap();
         let s = eval.stats();
         assert_eq!((s.component_merges, s.component_splits), (1, 1));
         assert_eq!(s.components_solved, 4);
         assert_eq!(s.pairs_resolved_last_move, 0);
 
-        // The dynamic path is bit-identical to the static engine on the
+        // The dynamic path is bit-identical to the full rebuild on the
         // same walk.
-        let mut static_eval = ProfileEvaluator::new(
-            &ctx,
-            &cands,
-            &AllocationMethod::default(),
-            EvalOptions::static_partition(),
-        );
+        let method = AllocationMethod::default();
         for indices in [[0, 0, via_a], [0, 0, via_b]] {
+            let profile = profile_of(&cands, &indices);
             assert_eq!(
-                static_eval.evaluate_objective(&indices).map(f64::to_bits),
+                ctx.evaluate_objective(&profile, &method).map(f64::to_bits),
                 eval.evaluate_objective(&indices).map(f64::to_bits),
             );
         }
-        // The static engine never refines: its gauge stays at the
-        // component count and its churn counters at zero.
-        let s = static_eval.stats();
-        assert_eq!(s.dynamic_components, 1);
-        assert_eq!((s.component_merges, s.component_splits), (0, 0));
     }
 
     #[test]
@@ -2666,18 +2429,22 @@ mod tests {
 
     #[test]
     fn eval_options_serde_round_trip() {
-        for options in [
-            EvalOptions::default(),
-            EvalOptions::static_partition(),
-            EvalOptions::warm_seeded(),
-        ] {
+        for options in [EvalOptions::default(), EvalOptions::warm_seeded()] {
             let json = serde_json::to_string(&options).unwrap();
-            assert!(json.contains("\"partition\""), "{json}");
+            assert!(!json.contains("\"partition\""), "{json}");
             assert!(json.contains("\"warm_profile_seed\""), "{json}");
             let back: EvalOptions = serde_json::from_str(&json).unwrap();
             assert_eq!(options, back);
         }
-        // Loud compat breaks: both fields are required.
+        // A stale `partition` key still parses and is ignored.
+        for stale in [
+            r#"{"partition":"Static","warm_profile_seed":true}"#,
+            r#"{"partition":"Dynamic","warm_profile_seed":true}"#,
+        ] {
+            let back: EvalOptions = serde_json::from_str(stale).unwrap();
+            assert_eq!(back, EvalOptions::warm_seeded());
+        }
+        // Loud compat break: `warm_profile_seed` is required.
         assert!(serde_json::from_str::<EvalOptions>("{}").is_err());
         assert!(serde_json::from_str::<EvalOptions>(r#"{"partition":"Dynamic"}"#).is_err());
     }

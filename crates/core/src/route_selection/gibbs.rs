@@ -54,9 +54,10 @@ pub struct GibbsConfig {
     /// Random restarts when the initial profile is infeasible.
     pub max_init_attempts: usize,
     /// Independent chains to run (1 = a single chain). With more than
-    /// one, [`run`] derives one seed per chain from the caller's RNG and
-    /// keeps the best profile across chains via [`sample_restarts`]
-    /// (chains run on the shared work-stealing pool).
+    /// one, [`run_in`] derives one seed per chain from the caller's RNG
+    /// and keeps the best profile across chains via
+    /// [`sample_restarts_seeded`] (chains run on the shared
+    /// work-stealing pool).
     pub restarts: usize,
     /// Iteration budget used instead of `iterations` when the chain was
     /// initialised from a *warm seed profile* (the previous slot's
@@ -133,34 +134,19 @@ pub fn acceptance_probability(f_new: f64, f_old: f64, gamma: f64) -> f64 {
     }
 }
 
-/// Runs the configured Gibbs selection: a single chain via [`sample`]
-/// when `config.restarts <= 1`, otherwise `config.restarts` independent
-/// chains via [`sample_restarts`] with per-chain seeds drawn from `rng`.
+/// Runs the configured Gibbs selection — the policy-layer entry point
+/// (`RouteSelector` dispatches here): a single chain via
+/// [`sample_seeded`] when `config.restarts <= 1`, otherwise
+/// `config.restarts` independent chains via [`sample_restarts_seeded`]
+/// with per-chain seeds drawn from `rng`.
 ///
-/// This is the policy-layer entry point (`RouteSelector` dispatches
-/// here), so configs can enable multi-chain Gibbs with a single field.
-///
-/// Returns `None` when no feasible profile could be found at all.
-pub fn run(
-    ctx: &PerSlotContext<'_>,
-    candidates: &[Candidates<'_>],
-    method: &AllocationMethod,
-    config: &GibbsConfig,
-    rng: &mut dyn rand::Rng,
-) -> Option<Selection> {
-    if config.restarts <= 1 {
-        return sample(ctx, candidates, method, config, rng);
-    }
-    let seeds: Vec<u64> = (0..config.restarts).map(|_| rng.random()).collect();
-    sample_restarts(ctx, candidates, method, config, &seeds)
-}
-
-/// [`run`] backed by a [`SelectorSession`]: the evaluator recycles the
-/// session's arena and memos, and — when
+/// The evaluator recycles the session's arena and memos, and — when
 /// [`EvalOptions::warm_profile_seed`] is set and the session remembers a
 /// previous slot's selection — every chain starts from that profile
 /// instead of a random draw (new pairs start on their shortest
-/// candidate). With warm seeding off this is bit-identical to [`run`].
+/// candidate).
+///
+/// Returns `None` when no feasible profile could be found at all.
 pub fn run_in(
     session: &mut SelectorSession,
     ctx: &PerSlotContext<'_>,
@@ -216,22 +202,12 @@ pub fn sample(
     rng: &mut dyn rand::Rng,
 ) -> Option<Selection> {
     let mut evaluator = ProfileEvaluator::new(ctx, candidates, method, config.evaluator);
-    sample_with(&mut evaluator, candidates, config, rng)
+    sample_seeded(&mut evaluator, candidates, config, rng, None)
 }
 
-/// [`sample`] over a caller-provided evaluator, so several chains (or a
-/// surrounding search) can share one memo.
-pub fn sample_with(
-    evaluator: &mut ProfileEvaluator<'_>,
-    candidates: &[Candidates<'_>],
-    config: &GibbsConfig,
-    rng: &mut dyn rand::Rng,
-) -> Option<Selection> {
-    sample_seeded(evaluator, candidates, config, rng, None)
-}
-
-/// [`sample_with`] with an optional warm starting profile (the previous
-/// slot's selection, resolved by
+/// [`sample`] over a caller-provided evaluator (so several chains, or a
+/// surrounding search, can share one memo), with an optional warm
+/// starting profile (the previous slot's selection, resolved by
 /// [`SelectorSession::seed_indices`]): when given and feasible, the
 /// chain starts there instead of drawing random initial profiles. An
 /// infeasible seed falls back to the standard initialisation.
@@ -343,9 +319,7 @@ pub fn sample_seeded(
                 let old = indices[i];
                 let proposal = propose_different(rng, old, candidates[i].routes.len());
                 indices[i] = proposal;
-                // Declared single-pair move: lets the evaluator's
-                // dynamic partition attribute the work to this proposal.
-                match evaluator.evaluate_objective_move(&indices, i) {
+                match evaluator.evaluate_objective(&indices) {
                     Some(objective) => {
                         if rng.random_bool(acceptance_probability(objective, f_cur, gamma)) {
                             f_cur = objective;
@@ -839,7 +813,7 @@ mod tests {
             max_init_attempts: 3,
             restarts: 4,
             warm_iterations: 12,
-            evaluator: EvalOptions::static_partition(),
+            evaluator: EvalOptions::warm_seeded(),
         };
         let json = serde_json::to_string(&cfg).unwrap();
         assert!(json.contains("\"restarts\":4"), "{json}");
@@ -876,7 +850,8 @@ mod tests {
             evaluator: EvalOptions::default(),
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let multi = run(&ctx, &cands, &method, &config, &mut rng).unwrap();
+        let mut session = SelectorSession::new();
+        let multi = run_in(&mut session, &ctx, &cands, &method, &config, &mut rng).unwrap();
         // Multi-chain keeps the best chain: it must dominate a single
         // chain run with each of the seeds the same RNG stream yields.
         let mut seed_rng = rand::rngs::StdRng::seed_from_u64(21);

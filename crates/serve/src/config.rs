@@ -26,9 +26,9 @@ pub struct ServeConfig {
     /// Exogenous per-slot capacity process.
     pub dynamics: DynamicsConfig,
     /// Worker threads of the shared solve pool
-    /// (`crates/compat/threadpool`) that shard threads use for
-    /// intra-shard parallel stages (component solves, Gibbs restarts):
-    /// `0` = one per available CPU.
+    /// (`crates/compat/threadpool`) that shard threads install; the
+    /// only work it runs is Gibbs restart chains (`restarts > 1` in the
+    /// selector config): `0` = one per available CPU.
     ///
     /// **Required** in the wire form (PR 10, deliberately a loud serde
     /// break — see MIGRATION.md §PR 10): a daemon config owns its

@@ -14,7 +14,10 @@
 #   * profile_eval_paper20/incremental_move/*       (memoized re-eval)
 #   * profile_eval_paper20/incremental_cold_eval/*  (cold component solves)
 #   * profile_eval_wax50/incremental_*              (50-node/25-pair scale)
-#   * dynamic_vs_static_partition/*                 (route-keyed partition)
+#   * dynamic_vs_static_partition/*                 (route-keyed partition:
+#                                                    cold_move_dynamic rows;
+#                                                    the static-only engine
+#                                                    and its rows are gone)
 #   * session_vs_fresh/*                            (200-slot OSCAR e2e,
 #                                                    cold vs session)
 #   * churn_recovery/*                              (post-cut decide latency,

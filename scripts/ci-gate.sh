@@ -5,7 +5,8 @@
 # Run before pushing any change (especially perf refactors, which tend to
 # accumulate lint debt):
 #
-#     ./scripts/ci-gate.sh                  # fmt + clippy + rustdoc + lint (fast)
+#     ./scripts/ci-gate.sh                  # fmt + clippy + rustdoc + lint
+#                                           # + perfbench check (fast)
 #     ./scripts/ci-gate.sh --full           # also build + tier-1 tests
 #     ./scripts/ci-gate.sh --full --bench   # also the bench regression
 #                                           # gate (scripts/bench-gate.sh)
@@ -62,6 +63,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
 
 echo "==> qdn-lint --report target/lint-report.json"
 cargo run -q -p qdn_lint --bin qdn-lint -- --report target/lint-report.json
+
+# `perfbench/` is its own workspace (the end-to-end benchmark declared
+# in BENCHMARK.json) with path dependencies on the crates here, so no
+# workspace-wide check above builds it. Type-check it so a public-API
+# edit that breaks the benchmark fails here rather than at benchmark time.
+echo "==> cargo check (perfbench)"
+cargo check --locked --offline --manifest-path perfbench/Cargo.toml \
+    --target-dir target/perfbench
 
 if [[ "$full" -eq 1 ]]; then
     echo "==> cargo build --release"
